@@ -177,9 +177,20 @@ def _echo_sqrt_m_row(rows, m):
           f"components={row.components} lcc={row.lcc_size}{extra}")
 
 
+def _grid(args) -> KGrid:
+    """The ``--grid``/``--points`` grid, checked before any input is read."""
+    grid = KGrid(kind=args.grid, points=args.points)
+    try:
+        grid.k_values(1, 0)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return grid
+
+
 def _cmd_sweep(args) -> int:
+    grid = _grid(args)
     g = parse_edge_list(args.input, directed=args.directed)
-    rows = run_sweep(g, KGrid(kind=args.grid, points=args.points))
+    rows = run_sweep(g, grid)
     m = underlying_undirected(g).m
     _echo_sqrt_m_row(rows, m)
     if args.output:
@@ -191,10 +202,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    grid = _grid(args)
+    try:
+        thresholds = AxiomThresholds(c1_min=args.c1min, c2_min=args.c2min,
+                                     c3_min=args.c3min)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     g = parse_edge_list(args.input, directed=args.directed)
-    thresholds = AxiomThresholds(c1_min=args.c1min, c2_min=args.c2min,
-                                 c3_min=args.c3min)
-    rows = run_sweep(g, KGrid(kind=args.grid, points=args.points))
+    rows = run_sweep(g, grid)
     m = underlying_undirected(g).m
     k = floor_sqrt_edges(underlying_undirected(g)) if m else rows[-1].k
     report = evaluate_axioms(rows, k, thresholds, m=m)
@@ -218,7 +233,10 @@ def _cmd_report(args) -> int:
     merged = {}
     expected_n = None
     for path in args.input:
-        rows = read_rows_csv(path)
+        try:
+            rows = read_rows_csv(path)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if not rows:
             raise ValueError(f"{path}: no data rows")
         n = max(r.k for r in rows)

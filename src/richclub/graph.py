@@ -9,6 +9,7 @@ after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import io
 import math
 from typing import IO, Iterator
 
@@ -22,6 +23,9 @@ __all__ = [
     "underlying_undirected",
     "floor_sqrt_edges",
 ]
+
+_INT64_MAX = 2 ** 63 - 1
+_SCAN_CHUNK = 1 << 20  # bytes
 
 
 class EdgeListError(ValueError):
@@ -91,18 +95,26 @@ class Graph:
         src, dst = src[~loops], dst[~loops]
 
         if directed:
-            keys = src * n + dst
+            keys = src * n
+            keys += dst
         else:
-            keys = np.minimum(src, dst) * n + np.maximum(src, dst)
-        keys = np.unique(keys)
-        duplicates_dropped = len(src) - len(keys)
-        a = (keys // n).astype(np.int32)
-        b = (keys % n).astype(np.int32)
+            keys = np.minimum(src, dst)
+            keys *= n
+            keys += np.maximum(src, dst)
+        del src, dst
+        keys.sort()
+        keep = np.empty(len(keys), dtype=bool)
+        keep[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+        duplicates_dropped = len(keep) - len(keys)
+        a = keys // n
+        b = keys % n
 
         if directed:
             # keys are already row-major sorted, so per-row lists come
             # out ascending without an extra sort
-            indices = b
+            indices = b.astype(np.int32)
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(a, minlength=n), out=indptr[1:])
             in_degree = np.bincount(b, minlength=n).astype(np.int64)
@@ -111,12 +123,19 @@ class Graph:
                        loops_dropped=loops_dropped,
                        duplicates_dropped=duplicates_dropped)
 
-        rows = np.concatenate([a, b])
-        cols = np.concatenate([b, a])
-        order = np.lexsort((cols, rows))
-        indices = cols[order]
+        # both orientations as one row-major key each; the keys are
+        # distinct, so an unstable sort gives the CSR order
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        np.cumsum(np.bincount(a, minlength=n) + np.bincount(b, minlength=n),
+                  out=indptr[1:])
+        both = np.empty(2 * len(keys), dtype=np.int64)
+        both[:len(keys)] = keys
+        np.multiply(b, n, out=both[len(keys):])
+        both[len(keys):] += a
+        del keys, a, b
+        both.sort()
+        both %= n
+        indices = both.astype(np.int32)
         return cls(n, indptr, indices, False,
                    original_ids=original_ids,
                    loops_dropped=loops_dropped,
@@ -170,22 +189,132 @@ def parse_edge_list(source, directed=False, comment="#") -> Graph:
     """Parse a SNAP-style edge list into a normalized :class:`Graph`.
 
     ``source`` is a path, an open text file, or an iterable of lines.
-    Every non-comment line must hold exactly two non-negative integer
-    ids.  Ids are compacted to ``0..n-1`` in order of first appearance
-    (nodes mentioned only on dropped self-loop or duplicate lines still
+    Every non-comment line must hold exactly two integer ids in
+    ``[0, 2**63)``.  A line whose first non-blank character is
+    ``comment`` is a comment; a ``comment`` anywhere else is an error.
+    Ids are compacted to ``0..n-1`` in order of first appearance (nodes
+    mentioned only on dropped self-loop or duplicate lines still
     count); the original ids are kept on ``graph.original_ids``.
 
     Raises :class:`EdgeListError` with the offending line number for
     malformed lines, and for entirely empty input.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "rt", encoding="utf-8") as fh:
-            return parse_edge_list(fh, directed=directed, comment=comment)
+        with open(source, "rb") as fh:
+            data = fh.read()
+        ids = _scan_ids(data, comment)
+        if ids is None:
+            ids = _read_ids(
+                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), comment)
+    else:
+        ids = _read_ids(source, comment)
+    original, codes = _first_appearance(ids)
+    return Graph.from_edges(len(original), codes[0::2], codes[1::2],
+                            directed=directed, original_ids=original)
 
-    ids: dict[int, int] = {}
-    src: list[int] = []
-    dst: list[int] = []
-    for lineno, raw in enumerate(source, start=1):
+
+def _scan_ids(data: bytes, comment: str):
+    """Vectorized tokenizer for clean edge lists.
+
+    Returns the ids in file order, two per edge line, when every line
+    is blank, a comment, or two ASCII-digit ids below ``2**63``
+    separated by spaces or tabs, with ``\\n`` or ``\\r\\n`` line ends,
+    and the whole input decodes as UTF-8.  Returns None for any other
+    input, which the line loop then accepts or rejects, so this path
+    never changes what is accepted.
+    """
+    if (len(comment) != 1 or not comment.isascii() or comment.isdigit()
+            or comment.isspace()):
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    parts = []
+    lo = 0
+    while lo < len(data):
+        # chunks of whole lines keep the temporaries small
+        hi = data.rfind(b"\n", lo, lo + _SCAN_CHUNK) + 1
+        if lo + _SCAN_CHUNK >= len(data):
+            hi = len(data)
+        elif hi <= lo:  # one line longer than a chunk
+            hi = data.find(b"\n", lo + _SCAN_CHUNK) + 1 or len(data)
+        ids = _scan_chunk(buf[lo:hi], ord(comment))
+        if ids is None:
+            return None
+        parts.append(ids)
+        lo = hi
+    if not parts:
+        return None
+    ids = np.concatenate(parts)
+    if not len(ids) or ids.max() > np.uint64(_INT64_MAX):
+        return None
+    return ids.view(np.int64)
+
+
+def _scan_chunk(buf: np.ndarray, comment: int):
+    """:func:`_scan_ids` on whole lines: uint64 ids, or None."""
+    # a lone \r ends a line in universal-newline mode
+    cr = np.flatnonzero(buf[:-1] == 13)
+    if len(cr) and np.any(buf[cr + 1] != 10):
+        return None
+    blank = (buf == 32) | (buf == 9) | (buf == 10) | (buf == 13)
+    padded = np.ones(len(buf) + 2, dtype=bool)
+    padded[1:-1] = blank
+    bounds = np.flatnonzero(padded[1:] != padded[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    if not len(starts):
+        return np.zeros(0, dtype=np.uint64)
+
+    # a token opens its line when a newline lies in the gap before it
+    opens = np.empty(len(starts), dtype=bool)
+    opens[0] = True
+    gap_start, gap_end = ends[:-1], starts[1:]
+    opens[1:] = buf[gap_end - 1] == 10
+    wide = np.flatnonzero(~opens[1:] & (gap_end - gap_start > 1))
+    if len(wide):
+        nl = np.flatnonzero(buf == 10)
+        opens[1 + wide] = (np.searchsorted(nl, gap_end[wide])
+                           > np.searchsorted(nl, gap_start[wide]))
+
+    # bytes other than digits and blanks may only sit in comment lines
+    other = np.flatnonzero(~blank & (np.subtract(buf, 48, dtype=np.uint8)
+                                     > 9))
+    if len(other):
+        is_comment = buf[starts[opens]] == comment
+        in_comment = is_comment[np.cumsum(opens) - 1]
+        token = np.searchsorted(starts, other, side="right") - 1
+        if not in_comment[token].all():
+            return None
+        keep = ~in_comment
+        starts, ends, opens = starts[keep], ends[keep], opens[keep]
+    if len(starts) % 2 or not opens[0::2].all() or opens[1::2].any():
+        return None
+
+    width = ends - starts
+    ids = np.zeros(len(starts), dtype=np.uint64)
+    if not len(ids):
+        return ids
+    shortest, longest = int(width.min()), int(width.max())
+    if longest > 19:
+        return None
+    for j in range(longest):  # digit j from the right of every id
+        digit = buf.take(ends - 1 - j, mode="clip") - np.uint8(48)
+        if j >= shortest:
+            digit[width <= j] = 0
+        ids += np.multiply(digit, np.uint64(10 ** j), dtype=np.uint64)
+    return ids
+
+
+def _read_ids(lines, comment: str) -> np.ndarray:
+    """Line-by-line parse: the ids in file order, two per edge line.
+
+    Raises :class:`EdgeListError` at the first malformed line.
+    """
+    ids: list[int] = []
+    for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith(comment):
             continue
@@ -200,17 +329,32 @@ def parse_edge_list(source, directed=False, comment="#") -> Graph:
                 f"non-integer id in {stripped!r}", line=lineno) from None
         if a < 0 or b < 0:
             raise EdgeListError("negative id", line=lineno)
-        u = ids.setdefault(a, len(ids))
-        v = ids.setdefault(b, len(ids))
-        src.append(u)
-        dst.append(v)
+        if a > _INT64_MAX or b > _INT64_MAX:
+            raise EdgeListError("id does not fit in int64", line=lineno)
+        ids += (a, b)
     if not ids:
         raise EdgeListError("empty edge list: no edges or nodes found")
+    return np.array(ids, dtype=np.int64)
 
-    original = np.fromiter(ids.keys(), dtype=np.int64, count=len(ids))
-    return Graph.from_edges(len(ids), np.array(src, dtype=np.int64),
-                            np.array(dst, dtype=np.int64),
-                            directed=directed, original_ids=original)
+
+def _first_appearance(ids: np.ndarray):
+    """``(original, codes)``: the distinct ``ids`` in order of first
+    appearance, and each id's index in that list."""
+    order = np.argsort(ids, kind="stable")
+    new = np.empty(len(ids), dtype=bool)  # first of its value in order
+    new[0] = True
+    ordered = ids[order]
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    del ordered
+    head = order[new]  # first position of each distinct id
+    first = np.zeros(len(ids), dtype=bool)
+    first[head] = True
+    code_of_value = np.cumsum(first)[head] - 1
+    value = np.cumsum(new)
+    value -= 1
+    codes = np.empty(len(ids), dtype=np.int64)
+    codes[order] = code_of_value[value]
+    return ids[first], codes
 
 
 def write_edge_list(g: Graph, out: IO[str] | str) -> None:

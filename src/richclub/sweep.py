@@ -545,21 +545,30 @@ def read_rows_csv(src) -> list[SweepRow]:
     if isinstance(src, (str, bytes)) or hasattr(src, "__fspath__"):
         with open(src, "rt", encoding="utf-8") as fh:
             return read_rows_csv(fh)
-    header = next(iter(src)).strip()
+    lines = iter(src)
+    header = next(lines, "").strip()
     if header.split(",") != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header: {header!r}")
     rows = []
-    for line in src:
+    for lineno, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
             continue
+        fields = line.split(",")
+        if len(fields) != len(CSV_COLUMNS):
+            raise ValueError(f"line {lineno}: expected {len(CSV_COLUMNS)} "
+                             f"fields, got {len(fields)}")
         values = {}
-        for name, field in zip(CSV_COLUMNS, line.split(",")):
-            if field == "":
-                values[name] = None
-            elif name in _INT_COLUMNS:
-                values[name] = int(field)
-            else:
-                values[name] = float(field)
+        try:
+            for name, field in zip(CSV_COLUMNS, fields):
+                if field == "":
+                    values[name] = None
+                elif name in _INT_COLUMNS:
+                    values[name] = int(field)
+                else:
+                    values[name] = float(field)
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad {name} value "
+                             f"{field!r}") from None
         rows.append(SweepRow(**values))
     return rows

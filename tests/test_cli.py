@@ -137,6 +137,23 @@ def test_sweep_malformed_line_reports_line_number(tmp_path, capsys):
     assert not out.exists()  # partial outputs removed
 
 
+def test_sweep_id_beyond_int64_reports_line_number(tmp_path, capsys):
+    bad = tmp_path / "huge.txt"
+    bad.write_text("0 1\n100000000000000000000 2\n")
+    out = tmp_path / "o.csv"
+    assert run_cli("sweep", "-i", str(bad), "-o", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["richclub: line 2: id does not fit in int64"]
+    assert not out.exists()
+
+
+def test_sweep_bad_points_exit_2_before_reading_input(tmp_path, capsys):
+    assert run_cli("sweep", "-i", str(tmp_path / "nope.txt"),
+                   "--points", "0") == 2
+    err = capsys.readouterr().err
+    assert "point" in err and "nope.txt" not in err
+
+
 def test_sweep_directed_emits_arc_columns(tmp_path):
     arcs = tmp_path / "d.txt"
     arcs.write_text("0 1\n1 0\n0 2\n")
@@ -178,6 +195,13 @@ def test_axioms_custom_thresholds(tmp_path, capsys):
     assert payload["thresholds"] == {"c1_min": 0.9, "c2_min": 0.9,
                                      "c3_min": 1.9}
     capsys.readouterr()
+
+
+def test_axioms_bad_threshold_exit_2_before_reading_input(tmp_path, capsys):
+    assert run_cli("axioms", "-i", str(tmp_path / "nope.txt"),
+                   "--c1min", "2") == 2
+    err = capsys.readouterr().err
+    assert "c1_min" in err and "nope.txt" not in err
 
 
 # ---------------------------------------------------------- report
@@ -229,6 +253,24 @@ def test_report_rejects_mismatched_graphs(tmp_path, capsys):
                    "-o", str(tmp_path / "plots")) == 1
     err = capsys.readouterr().err
     assert "b.csv" in err
+    assert not (tmp_path / "plots_c1.dat").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda f: f[:4], "expected 15 fields, got 4"),
+    (lambda f: f + ["1"], "expected 15 fields, got 16"),
+    (lambda f: f[:1] + ["x"] + f[2:], "bad degree_at_k value 'x'"),
+])
+def test_report_rejects_malformed_row(tmp_path, capsys, edit, message):
+    csv = make_sweep_csv(tmp_path)
+    lines = csv.read_text().splitlines()
+    lines[3] = ",".join(edit(lines[3].split(",")))
+    csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("report", "-i", str(csv),
+                   "-o", str(tmp_path / "plots")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"richclub: {csv}: line 4: {message}"]
     assert not (tmp_path / "plots_c1.dat").exists()
 
 
