@@ -40,15 +40,12 @@ from .sweep import (
     DegreeOrder,
     KGrid,
     SweepRow,
-    SweepState,
     degree_order,
     internal_edges_by_k,
     metrics_at_k,
     read_rows_csv,
-    reciprocity_at_k,
     run_sweep,
     sociability_profile,
-    sweep_step,
     write_rows_csv,
 )
 
@@ -63,8 +60,8 @@ __all__ = [
     "write_bipartite",
     "EdgeListError", "Graph", "floor_sqrt_edges", "parse_edge_list",
     "underlying_undirected", "write_edge_list",
-    "CSV_COLUMNS", "DegreeOrder", "KGrid", "SweepRow", "SweepState",
+    "CSV_COLUMNS", "DegreeOrder", "KGrid", "SweepRow",
     "degree_order", "internal_edges_by_k", "metrics_at_k",
-    "read_rows_csv", "reciprocity_at_k", "run_sweep",
-    "sociability_profile", "sweep_step", "write_rows_csv",
+    "read_rows_csv", "run_sweep", "sociability_profile",
+    "write_rows_csv",
 ]

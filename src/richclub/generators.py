@@ -13,7 +13,7 @@ from typing import IO
 
 import numpy as np
 
-from .graph import Graph
+from .graph import NODE_LIMIT, Graph
 
 __all__ = [
     "GeneratorConfig",
@@ -67,6 +67,9 @@ class GeneratorConfig:
                    cq=cq, cu=cu, s=s, beta=beta)
 
     def validate(self):
+        size = self.actors if self.model == "affiliation" else self.n
+        if size >= NODE_LIMIT:
+            raise ValueError(f"{self.model}: n must be below {NODE_LIMIT}")
         if self.model == "er":
             if self.n < 1:
                 raise ValueError("er: n must be >= 1")

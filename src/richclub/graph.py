@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import math
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _INT64_MAX = 2 ** 63 - 1
+NODE_LIMIT = 2 ** 31  # node counts must stay below this (int32 ids)
 _SCAN_CHUNK = 1 << 20  # bytes
 
 
@@ -80,7 +81,7 @@ class Graph:
         n = int(n)
         if n <= 0:
             raise ValueError("graph needs at least one node")
-        if n >= 2 ** 31:
+        if n >= NODE_LIMIT:
             raise ValueError("node count exceeds supported range")
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -170,11 +171,6 @@ class Graph:
             return rows, cols
         keep = rows < cols
         return rows[keep], cols[keep]
-
-    def iter_edges(self) -> Iterator[tuple[int, int]]:
-        src, dst = self.edge_arrays()
-        for u, v in zip(src.tolist(), dst.tolist()):
-            yield u, v
 
     def csr(self):
         """Raw ``(indptr, indices)`` of the adjacency structure."""

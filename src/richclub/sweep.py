@@ -6,13 +6,13 @@ and internal edge counts, the influence/stability/density constants c1,
 c2, c3, connectivity, coverage and directed reciprocity) for every club
 size on a grid.
 
-Three routes produce the same numbers and are tested against each
-other: :func:`metrics_at_k` recomputes one club from scratch and is the
-reference semantics; :class:`SweepState` grows the club one rank at a
-time with a union-find; :func:`run_sweep` is the production engine,
-which batches ranks between grid points with vectorized counting and
-contracted component merging so that million-node graphs sweep in
-seconds.
+:func:`run_sweep` is the one production engine: it computes each column
+once for every club size k = 0..n as a prefix array (cumulative counts
+keyed by rank, plus a spanning forest grown in rank order for the
+component columns), so a grid of any density costs one fancy index.
+:func:`metrics_at_k` recomputes a single club from scratch by plain
+traversal; it is the reference semantics, kept deliberately naive as
+the testing oracle.
 
 Directed graphs are ranked by total degree (in + out); c1/c2/c3,
 connectivity and coverage are computed on the undirected projection,
@@ -27,23 +27,20 @@ from dataclasses import dataclass
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .graph import Graph, underlying_undirected
 
 __all__ = [
     "DegreeOrder",
     "SweepRow",
-    "SweepState",
     "KGrid",
     "SociabilityProfile",
     "degree_order",
-    "sweep_step",
     "metrics_at_k",
     "run_sweep",
     "sociability_profile",
-    "reciprocity_at_k",
     "internal_edges_by_k",
     "write_rows_csv",
     "read_rows_csv",
@@ -133,122 +130,14 @@ def _assemble_row(k, n, m, degree_at_k, internal, cut, components, lcc,
         sym_ratio=sym)
 
 
-class SweepState:
-    """Incremental club state, advanced one rank at a time.
-
-    Keeps the running edge accumulators, a union-find over included
-    nodes for component statistics, covered-outside bookkeeping and the
-    directed arc counters.  ``advance`` must be called with ranks
-    0, 1, 2, ... in order.
-    """
-
-    def __init__(self, g: Graph, order: DegreeOrder):
-        self.graph = g
-        self.order = order
-        self._und = underlying_undirected(g)
-        self.n = g.n
-        self.m = self._und.m
-        self.k = 0
-        self.sum_di = 0
-        self.sum_do = 0
-        self.internal_edges = 0
-        self.components = 0
-        self.lcc_size = 0
-        self._parent = list(range(g.n))
-        self._size = [1] * g.n
-        self._included = bytearray(g.n)
-        self._covered = bytearray(g.n)
-        self._covered_outside = 0
-        self.internal_arcs = 0 if g.directed else None
-        self.reciprocal_arcs = 0 if g.directed else None
-
-    def _find(self, x):
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def _union(self, a, b):
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        self.components -= 1
-        if self._size[ra] > self.lcc_size:
-            self.lcc_size = self._size[ra]
-
-    def advance(self, rank: int) -> "SweepState":
-        """Include the node at ``rank``; ranks must arrive in order."""
-        if rank != self.k:
-            raise ValueError(
-                f"sweep rank out of order: expected {self.k}, got {rank}")
-        if rank >= self.n:
-            raise ValueError("rank beyond last node")
-        v = int(self.order.node_at_rank[rank])
-        included = self._included
-        covered = self._covered
-        g = self.graph
-        self.components += 1
-        if self.lcc_size == 0:
-            self.lcc_size = 1
-        for u in self._und.neighbors(v).tolist():
-            if included[u]:
-                self.sum_di += 2
-                self.sum_do -= 1
-                self.internal_edges += 1
-                self._union(v, u)
-                if g.directed:
-                    out_arc = g.has_edge(v, u)
-                    in_arc = g.has_edge(u, v)
-                    if out_arc and in_arc:
-                        self.internal_arcs += 2
-                        self.reciprocal_arcs += 2
-                    else:
-                        self.internal_arcs += 1
-            else:
-                self.sum_do += 1
-                if not covered[u]:
-                    covered[u] = 1
-                    self._covered_outside += 1
-        if covered[v]:
-            self._covered_outside -= 1
-        included[v] = 1
-        self.k += 1
-        return self
-
-    def row(self) -> SweepRow:
-        """Snapshot of the metrics at the current club size."""
-        if self.k < 1:
-            raise ValueError("no ranks processed yet")
-        return _assemble_row(
-            self.k, self.n, self.m,
-            int(self.order.degree_at_rank[self.k - 1]),
-            self.internal_edges, self.sum_do, self.components,
-            self.lcc_size, self._covered_outside, self.graph.directed,
-            self.internal_arcs, self.reciprocal_arcs)
-
-
-def sweep_step(state: SweepState, g: Graph, order: DegreeOrder,
-               rank: int) -> SweepState:
-    """Advance ``state`` by one rank; raises if ranks arrive out of order."""
-    if state.graph is not g or state.order is not order:
-        raise ValueError("state was built for a different graph or order")
-    return state.advance(rank)
-
-
 def metrics_at_k(g: Graph, order: DegreeOrder, k: int) -> SweepRow:
     """Recompute every metric for the k-club from scratch.
 
     Induces the club, counts edges by scanning neighbor lists, finds
-    components by traversal and coverage by marking club neighborhoods.
-    This is the reference semantics (and testing oracle) for
-    :class:`SweepState` and :func:`run_sweep`.
+    components by traversal, coverage by marking club neighborhoods and
+    (for directed input) internal and reciprocated arcs by arc lookup.
+    This is the reference semantics and the testing oracle for
+    :func:`run_sweep`; it shares no counting code with it.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range [1, {g.n}]")
@@ -353,37 +242,78 @@ def _edge_rank_pairs(und: Graph, order: DegreeOrder):
     return ru[keep], rv[keep]
 
 
+def _count_below(keys: np.ndarray, n: int) -> np.ndarray:
+    """``arr[k]`` = number of ``keys`` below k, for k = 0..n.
+
+    ``keys`` are integers in ``[0, n]``; a key of n is never counted.
+    """
+    arr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n + 1)[:n], out=arr[1:])
+    return arr
+
+
 def internal_edges_by_k(g: Graph, order: DegreeOrder) -> np.ndarray:
     """Cumulative internal edge counts: ``arr[k]`` = projection edges
     with both endpoints in the top-k, for k = 0..n."""
     und = underlying_undirected(g)
     _, ev = _edge_rank_pairs(und, order)
-    counts = np.bincount(ev, minlength=und.n)
-    return np.concatenate([[0], np.cumsum(counts)])
+    return _count_below(ev, und.n)
 
 
 def _min_neighbor_rank(und: Graph, order: DegreeOrder) -> np.ndarray:
     """Smallest neighbor rank per rank position (n for isolated nodes)."""
     n = und.n
     indptr, indices = und.csr()
-    deg = np.diff(indptr)
     minr = np.full(n, n, dtype=np.int64)
-    if len(indices):
-        nbr_rank = order.rank_of_node[indices]
-        starts = np.minimum(indptr[:-1], len(indices) - 1)
-        reduced = np.minimum.reduceat(nbr_rank, starts)
-        minr = np.where(deg > 0, reduced, n)
+    nz = np.flatnonzero(np.diff(indptr))
+    if len(nz):
+        minr[nz] = np.minimum.reduceat(order.rank_of_node[indices],
+                                       indptr[nz])
     return minr[order.node_at_rank]
+
+
+def _component_columns(eu: np.ndarray, ev: np.ndarray, n: int):
+    """Component count and largest component size for k = 0..n.
+
+    The top-k club holds exactly the edges whose higher rank is below
+    k.  With each edge weighted by that rank, any minimum spanning
+    forest restricted to weights below k spans the club's components,
+    so components(k) = k - (forest edges below k).  A union-find over
+    the at most n - 1 forest edges, taken in rank order, gives the
+    largest component after each merge.
+    """
+    # weights start at 1: an explicit zero would be read as no edge
+    forest = minimum_spanning_tree(
+        csr_matrix((ev + 1.0, (eu, ev)), shape=(n, n))).tocoo()
+    hi = forest.data.astype(np.int64) - 1
+    by_rank = np.argsort(hi)
+    forest_below = _count_below(hi, n)
+
+    parent = list(range(n))
+    size = [1] * n
+    merged = []
+    for a, b in zip(forest.row[by_rank].tolist(),
+                    forest.col[by_rank].tolist()):
+        while parent[a] != a:  # find with path halving, inlined
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+        merged.append(size[a])
+    lcc_after = np.maximum.accumulate(np.array([1] + merged, np.int64))
+    components = np.arange(n + 1, dtype=np.int64) - forest_below
+    return components, lcc_after[forest_below]
 
 
 def run_sweep(g: Graph, grid: KGrid | None = None) -> list[SweepRow]:
     """Sweep the club size over ``grid``, one row per grid point.
 
-    A single pass in rank order: between consecutive grid points the
-    new internal edges are counted vectorized, and component statistics
-    are carried forward by contracting previous components to
-    supernodes, so total work stays near-linear in edges for root and
-    linear grids.
+    Every column is computed once for all k = 0..n as a prefix array,
+    in time near-linear in the edges; the grid then only selects rows,
+    so ``KGrid("full")`` costs about as much as a root grid.
     """
     if grid is None:
         grid = KGrid()
@@ -396,77 +326,33 @@ def run_sweep(g: Graph, grid: KGrid | None = None) -> list[SweepRow]:
         ks = np.unique(np.append(ks, min(math.isqrt(g.m), n)))
 
     eu, ev = _edge_rank_pairs(und, order)
-    internal_cum = np.concatenate(
-        [[0], np.cumsum(np.bincount(ev, minlength=n))])
-    esort = np.argsort(ev, kind="stable")
-    eu_s, ev_s = eu[esort], ev[esort]
+    internal = _count_below(ev, n)
+    prefix_deg = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(und.degrees[order.node_at_rank], out=prefix_deg[1:])
+    cut = prefix_deg - 2 * internal
+    components, lcc = _component_columns(eu, ev, n)
 
-    deg_rank_und = und.degrees[order.node_at_rank].astype(np.int64)
-    prefix_deg = np.concatenate([[0], np.cumsum(deg_rank_und)])
-    min_by_rank = _min_neighbor_rank(und, order)
+    # outside nodes with a club neighbor: those whose smallest neighbor
+    # rank is below k, minus the ones that are themselves in the club
+    minr = _min_neighbor_rank(und, order)
+    covered = (_count_below(minr, n)
+               - _count_below(np.maximum(np.arange(n), minr), n))
 
-    arcs_cum = recip_cum = None
     if g.directed:
-        indptr, indices = g.csr()
-        asrc = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        adst = indices.astype(np.int64)
-        athr = np.maximum(order.rank_of_node[asrc],
-                          order.rank_of_node[adst])
-        arcs_cum = np.concatenate(
-            [[0], np.cumsum(np.bincount(athr, minlength=n))])
-        keys = np.sort(asrc * n + adst)
-        rev = adst * n + asrc
-        pos = np.searchsorted(keys, rev)
-        pos = np.minimum(pos, len(keys) - 1) if len(keys) else pos
-        has_rev = keys[pos] == rev if len(keys) else np.zeros(0, bool)
-        recip_cum = np.concatenate(
-            [[0], np.cumsum(np.bincount(athr[has_rev], minlength=n))])
+        src, dst = g.edge_arrays()
+        arcs = _count_below(np.maximum(order.rank_of_node[src],
+                                       order.rank_of_node[dst]), n)
+        # a club pair holds one arc, or two reciprocated ones
+        recip = 2 * (arcs - internal)
+    else:
+        arcs = recip = np.zeros(n + 1, dtype=np.int64)  # not reported
 
-    rows_out: list[SweepRow] = []
-    labels = np.empty(n, dtype=np.int64)
-    comp_sizes = np.empty(0, dtype=np.int64)
-    comp_count = 0
-    prev_k = 0
-    eptr = 0
-    for k in ks.tolist():
-        e_end = int(internal_cum[k])
-        new_nodes = k - prev_k
-        total = comp_count + new_nodes
-        if e_end > eptr:
-            uu, vv = eu_s[eptr:e_end], ev_s[eptr:e_end]
-            su = np.empty(len(uu), dtype=np.int64)
-            sv = np.empty(len(vv), dtype=np.int64)
-            for ranks, out in ((uu, su), (vv, sv)):
-                old = ranks < prev_k
-                out[old] = labels[ranks[old]]
-                out[~old] = comp_count + (ranks[~old] - prev_k)
-            adj = coo_matrix((np.ones(len(su), dtype=np.int8), (su, sv)),
-                             shape=(total, total))
-            ncc, sub = connected_components(adj, directed=False)
-            sub = sub.astype(np.int64)
-        else:
-            ncc, sub = total, np.arange(total, dtype=np.int64)
-        weights = np.concatenate(
-            [comp_sizes, np.ones(new_nodes, dtype=np.int64)])
-        comp_sizes = np.bincount(sub, weights=weights,
-                                 minlength=ncc).astype(np.int64)
-        if prev_k:
-            labels[:prev_k] = sub[labels[:prev_k]]
-        labels[prev_k:k] = sub[comp_count:comp_count + new_nodes]
-        comp_count = int(ncc)
-
-        covered_outside = 0
-        if k < n:
-            covered_outside = int(np.count_nonzero(min_by_rank[k:] < k))
-        arcs = int(arcs_cum[k]) if g.directed else None
-        recip = int(recip_cum[k]) if g.directed else None
-        rows_out.append(_assemble_row(
-            k, n, m, int(order.degree_at_rank[k - 1]), e_end,
-            int(prefix_deg[k]) - 2 * e_end, comp_count,
-            int(comp_sizes.max()), covered_outside, g.directed,
-            arcs, recip))
-        prev_k, eptr = k, e_end
-    return rows_out
+    columns = (order.degree_at_rank[ks - 1], internal[ks], cut[ks],
+               components[ks], lcc[ks], covered[ks], arcs[ks], recip[ks])
+    return [_assemble_row(k, n, m, deg, e, c, comp, big, cov, g.directed,
+                          a, r)
+            for k, deg, e, c, comp, big, cov, a, r
+            in zip(ks.tolist(), *(col.tolist() for col in columns))]
 
 
 class SociabilityProfile(NamedTuple):
@@ -491,30 +377,6 @@ def sociability_profile(rows: Sequence[SweepRow]) -> SociabilityProfile:
     argmax_k = next(r.k for r in rows if r.sociability_raw == max_raw)
     points = [(r.k, r.sociability_raw / max_raw) for r in rows]
     return SociabilityProfile(points, argmax_k, max_raw)
-
-
-def reciprocity_at_k(g: Graph, order: DegreeOrder, k: int):
-    """Internal arc count, reciprocated arc count and their ratio.
-
-    An internal arc has both endpoints in the top-k club; it is
-    reciprocated when the reverse arc also exists.  The ratio is None
-    for clubs without internal arcs.
-    """
-    if not g.directed:
-        raise ValueError("reciprocity requires a directed graph")
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k={k} out of range [1, {g.n}]")
-    included = np.zeros(g.n, dtype=bool)
-    included[order.node_at_rank[:k]] = True
-    arcs = recip = 0
-    for v in order.node_at_rank[:k].tolist():
-        for u in g.neighbors(v).tolist():
-            if included[u]:
-                arcs += 1
-                if g.has_edge(u, v):
-                    recip += 1
-    ratio = recip / arcs if arcs else None
-    return arcs, recip, ratio
 
 
 def _format_value(value) -> str:

@@ -83,6 +83,15 @@ def test_generate_invalid_params_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_generate_node_limit_exit_2_before_any_work(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    assert run_cli("generate", "--model", "er", "--n", "3000000000",
+                   "--p", "1e-19", "--seed", "1", "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n must be below 2147483648" in err
+    assert not out.exists()
+
+
 def test_usage_error_exit_2_subprocess():
     proc = run_cli_subprocess("generate", "--model", "zzz", "--n", "5",
                               "-o", "/tmp/never.txt")

@@ -8,15 +8,12 @@ from richclub import (
     Graph,
     GeneratorConfig,
     KGrid,
-    SweepState,
     degree_order,
     generate_ba,
     metrics_at_k,
     read_rows_csv,
-    reciprocity_at_k,
     run_sweep,
     sociability_profile,
-    sweep_step,
     underlying_undirected,
     write_rows_csv,
 )
@@ -76,9 +73,8 @@ def test_degree_order_directed_uses_total_degree():
 
 def test_star_first_step():
     g = star(5)
-    state = SweepState(g, degree_order(g))
-    state.advance(0)
-    r = state.row()
+    r = run_sweep(g, KGrid(kind="full"))[0]
+    assert r.k == 1
     assert r.sum_di == 0 and r.sum_do == 5
     assert r.coverage == 1.0 and r.c1 == 1.0 and r.c2 is None
     assert r.components == 1 and r.lcc_size == 1
@@ -107,17 +103,6 @@ def test_k_equals_n_row():
     assert r.c2 is None and r.coverage is None
 
 
-def test_rank_out_of_order_rejected():
-    g = complete_graph(4)
-    order = degree_order(g)
-    state = SweepState(g, order)
-    sweep_step(state, g, order, 0)
-    with pytest.raises(ValueError, match="out of order"):
-        sweep_step(state, g, order, 2)
-    with pytest.raises(ValueError):
-        sweep_step(state, complete_graph(4), order, 1)
-
-
 def test_metrics_at_k_range_check():
     g = complete_graph(3)
     order = degree_order(g)
@@ -143,11 +128,20 @@ def test_engines_agree_everywhere(rng):
     for trial in range(12):
         g = random_graph(rng, n_max=80)
         order = degree_order(g)
-        state = SweepState(g, order)
         fast = run_sweep(g, KGrid(kind="full"))
         for k in range(1, g.n + 1):
-            sweep_step(state, g, order, k - 1)
-            assert state.row() == metrics_at_k(g, order, k) == fast[k - 1]
+            assert fast[k - 1] == metrics_at_k(g, order, k)
+
+
+def test_coverage_with_isolated_highest_ids():
+    # node 4 is isolated, so node 3's neighbor list ends the CSR arrays;
+    # the club {2} covers nodes 0, 1 and 3, three of its four outsiders
+    g = Graph.from_edges(5, [2, 2, 2, 1], [0, 1, 3, 3])
+    order = degree_order(g)
+    rows = run_sweep(g, KGrid(kind="full"))
+    assert rows[0].coverage == 0.75
+    for k in range(1, g.n + 1):
+        assert rows[k - 1] == metrics_at_k(g, order, k)
 
 
 def test_conservation(rng):
@@ -278,6 +272,27 @@ def test_arcless_directed_graph_sweeps():
     assert rows[-1].components == 3
 
 
+def test_c3_matches_networkx_rich_club_coefficient():
+    # c3 is twice the unnormalized rich-club coefficient of Colizza et
+    # al. (Nature Physics 2006) at the club of all nodes above degree d
+    nx = pytest.importorskip("networkx")
+    g = generate_ba(GeneratorConfig.ba(3000, 3, seed=1))
+    src, dst = g.edge_arrays()
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(zip(src.tolist(), dst.tolist()))
+    phi = nx.rich_club_coefficient(G, normalized=False)
+    rows = run_sweep(g, KGrid(kind="full"))
+    checked = 0
+    for d, coeff in phi.items():
+        k = int(np.count_nonzero(g.degrees > d))
+        if k >= 2:
+            assert rows[k - 1].c3 == pytest.approx(2 * coeff,
+                                                   rel=1e-12), d
+            checked += 1
+    assert checked > 100
+
+
 def test_directed_sweep_reports_both_sqrt_conventions():
     from richclub import GeneratorConfig, generate_er
     g = generate_er(GeneratorConfig.er(500, 0.05, seed=2, directed=True))
@@ -301,22 +316,24 @@ def brute_reciprocity(g, order, k):
     return arcs, recip
 
 
+def arc_fields(row):
+    return row.internal_arcs, row.reciprocal_arcs, row.sym_ratio
+
+
 def test_reciprocity_hand_cases():
     # a<->b plus a->c
     g = Graph.from_edges(3, [0, 1, 0], [1, 0, 2], directed=True)
-    order = degree_order(g)
-    arcs, recip, ratio = reciprocity_at_k(g, order, 2)
-    assert (arcs, recip, ratio) == (2, 2, 1.0)
+    assert arc_fields(metrics_at_k(g, degree_order(g), 2)) == (2, 2, 1.0)
 
     g = Graph.from_edges(2, [0], [1], directed=True)
-    arcs, recip, ratio = reciprocity_at_k(g, degree_order(g), 2)
-    assert (arcs, recip, ratio) == (1, 0, 0.0)
+    assert arc_fields(metrics_at_k(g, degree_order(g), 2)) == (1, 0, 0.0)
 
 
-def test_reciprocity_rejects_undirected():
+def test_metrics_at_k_leaves_arc_fields_empty_on_undirected_input():
     g = complete_graph(3)
-    with pytest.raises(ValueError, match="directed"):
-        reciprocity_at_k(g, degree_order(g), 2)
+    for k in (1, 2, 3):
+        assert arc_fields(metrics_at_k(g, degree_order(g), k)) == (
+            None, None, None)
 
 
 def test_reciprocity_matches_pair_scan(rng):
@@ -324,11 +341,10 @@ def test_reciprocity_matches_pair_scan(rng):
     order = degree_order(g)
     rows = run_sweep(g, KGrid(kind="full"))
     for k in range(1, g.n + 1, 7):
-        arcs, recip, ratio = reciprocity_at_k(g, order, k)
+        arcs, recip, ratio = arc_fields(metrics_at_k(g, order, k))
         assert (arcs, recip) == brute_reciprocity(g, order, k)
-        row = rows[k - 1]
-        assert (row.internal_arcs, row.reciprocal_arcs) == (arcs, recip)
-        assert row.sym_ratio == ratio
+        assert ratio == (recip / arcs if arcs else None)
+        assert arc_fields(rows[k - 1]) == (arcs, recip, ratio)
 
 
 def test_undirected_rows_leave_arc_fields_empty(rng):
