@@ -25,7 +25,7 @@ from contextlib import contextmanager
 
 from .axioms import AxiomThresholds, evaluate_axioms, minimal_elite
 from .generators import GeneratorConfig, generate, write_bipartite
-from .graph import EdgeListError, floor_sqrt_edges, parse_edge_list, \
+from .graph import floor_sqrt_edges, parse_edge_list, \
     underlying_undirected, write_edge_list
 from .sweep import KGrid, read_rows_csv, run_sweep, sociability_profile, \
     write_rows_csv
@@ -283,19 +283,26 @@ _COMMANDS = {
 }
 
 
+# exception -> (exit code, label before its message); the first matching
+# row wins, and EdgeListError is a ValueError
+_EXIT_CODES = (
+    (UsageError, 2, ""),
+    (MemoryError, 1, "out of memory"),
+    (OSError, 1, ""),
+    (ValueError, 1, ""),
+)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"richclub: {exc}", file=sys.stderr)
-        return 2
-    except EdgeListError as exc:
-        print(f"richclub: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
-        print(f"richclub: {exc}", file=sys.stderr)
-        return 1
+    except tuple(row[0] for row in _EXIT_CODES) as exc:
+        code, label = next((code, label) for kind, code, label
+                           in _EXIT_CODES if isinstance(exc, kind))
+        print(": ".join(filter(None, ("richclub", label, str(exc)))),
+              file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

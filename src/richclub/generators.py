@@ -8,6 +8,7 @@ edge set is bit-identical across runs.
 from __future__ import annotations
 
 import array
+import heapq
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -171,48 +172,132 @@ def generate_ba(cfg: GeneratorConfig) -> Graph:
     Starts from a clique on ``mprime`` nodes; each arriving node links
     to ``mprime`` distinct existing nodes drawn with probability
     proportional to degree (resampling duplicate targets).  Sampling
-    uses the endpoint-list trick: every edge contributes both endpoints
-    to a pool, and a uniform pool index is an exact degree-proportional
+    uses the endpoint-pool trick: every edge contributes both endpoints
+    to a pool, and a uniform pool slot is an exact degree-proportional
     draw.
+
+    The pool layout is fixed in advance (slot ``2e`` holds the source of
+    edge ``e``, slot ``2e + 1`` its target), so every arrival draws its
+    slots at once and a drawn target slot points strictly backwards;
+    :func:`_ba_pool` resolves them by pointer chasing and then redraws
+    duplicate targets in node order, which keeps the sequential
+    rejection sampler's law exactly.
     """
     cfg.validate()
     n, mp = cfg.n, cfg.mprime
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    total_edges = mp * (mp - 1) // 2 + (n - mp) * mp
-    ends = np.empty(max(2 * total_edges, 1), dtype=np.int32)
-    src = np.empty(total_edges, dtype=np.int64)
-    dst = np.empty(total_edges, dtype=np.int64)
-    e = 0
-    pos = 0
-    for i in range(mp):
-        for j in range(i + 1, mp):
-            src[e] = i
-            dst[e] = j
-            e += 1
-            ends[pos] = i
-            ends[pos + 1] = j
-            pos += 2
-    for v in range(mp, n):
-        chosen: set[int] = set()
-        if pos == 0:
-            # degenerate mprime=1 start: no edges yet, attach uniformly
-            chosen.add(int(rng.integers(0, v)))
-        while len(chosen) < mp:
-            need = mp - len(chosen)
-            draws = ends[rng.integers(0, pos, size=need + 2)]
-            for t in draws.tolist():
-                if t not in chosen:
-                    chosen.add(t)
-                    if len(chosen) == mp:
-                        break
-        for t in sorted(chosen):
-            src[e] = v
-            dst[e] = t
-            e += 1
-            ends[pos] = v
-            ends[pos + 1] = t
-            pos += 2
-    return Graph.from_edges(n, src[:e], dst[:e], directed=False)
+    # the draws and the children index are freed before the graph build
+    pool = _ba_pool(n, mp, np.random.SeedSequence(cfg.seed).spawn(2))
+    return Graph.from_edges(n, pool[0::2], pool[1::2], directed=False)
+
+
+def _ba_pool(n, mp, seeds):
+    """The endpoint pool of BA(n, mp): ``[src0, dst0, src1, dst1, ...]``.
+
+    Edges are numbered in arrival order: the clique's ``mp(mp-1)/2``
+    edges first, then ``mp`` edges per arriving node ``v``, whose pool
+    before it is ``[0, 2 * edges_before(v))``.  ``seeds`` are the
+    substreams of the first draws and of the duplicate redraws.
+    """
+    clique = mp * (mp - 1) // 2
+    m = clique + (n - mp) * mp
+    pool = np.empty(2 * m, dtype=np.int32)  # node ids are below 2**31
+    src, dst = pool[0::2], pool[1::2]
+    src[:clique], dst[:clique] = np.triu_indices(mp, 1)
+    src[clique:] = np.repeat(np.arange(mp, n, dtype=np.int32), mp)
+    first = clique  # first edge whose target is drawn
+    if mp == 1 and n > 1:
+        dst[0] = 0  # node 1 faces an empty pool: it must attach to node 0
+        first = 1
+    if first == m:
+        return pool
+
+    # every arrival's first mp draws, all at once: edge e's draw is a
+    # slot in [0, 2 * edges_before(src[e]))
+    slot_type = np.int32 if 2 * m < 2 ** 31 else np.int64
+    high = src[first:].astype(slot_type)
+    high -= mp
+    high *= 2 * mp
+    high += 2 * clique
+    draws = np.random.default_rng(seeds[0]).integers(
+        0, high, dtype=slot_type)
+    del high
+
+    # a drawn slot that holds another drawn target copies that edge's
+    # draw; each step goes strictly backwards, so the chase ends
+    drawn = dst[first:]
+    todo = np.arange(len(draws), dtype=slot_type)
+    slot = draws
+    while len(todo):
+        chase = (slot & 1).astype(bool)
+        chase &= slot > 2 * first
+        done = np.flatnonzero(~chase)
+        drawn[todo[done]] = pool[slot[done]]
+        keep = np.flatnonzero(chase)
+        todo = todo[keep]
+        slot = slot[keep]
+        slot >>= 1
+        slot -= first
+        slot = draws[slot]
+    if mp > 1:
+        _fix_duplicates(pool, draws, n, mp, np.random.default_rng(seeds[1]))
+    return pool
+
+
+def _fix_duplicates(pool, draws, n, mp, rng):
+    """Redraw repeated targets in node order, as rejection sampling does.
+
+    A node's targets are re-derived from its first draws once every
+    earlier target is final; each repeat is replaced by further draws
+    from ``rng`` until a new node comes up.  A target that changes is
+    pushed to the edges whose first draw copied its slot, and their
+    nodes are queued for the same check.
+    """
+    clique = mp * (mp - 1) // 2
+    dst = pool[1::2]
+    rows = np.sort(dst[clique:].reshape(n - mp, mp), axis=1)
+    queue = (mp + np.flatnonzero(
+        (rows[:, 1:] == rows[:, :-1]).any(axis=1))).tolist()
+    del rows
+    queued = set(queue)
+
+    # children index: the nodes whose first draws copied a drawn target,
+    # keyed by that target's edge
+    child = np.flatnonzero((draws & 1).astype(bool) & (draws > 2 * clique))
+    parent = draws[child] >> 1
+    order = np.argsort(parent)
+    parent = parent[order]
+    child = mp + child[order] // mp
+
+    while queue:
+        v = heapq.heappop(queue)
+        lo = clique + (v - mp) * mp  # v's first edge
+        targets = pool[draws[lo - clique:lo - clique + mp]].tolist()
+        seen: set[int] = set()
+        repeats = []
+        for j, t in enumerate(targets):
+            if t in seen:
+                repeats.append(j)
+            seen.add(t)
+        for j in repeats:
+            t = targets[j]
+            while t in seen:
+                t = int(pool[rng.integers(0, 2 * lo)])
+            seen.add(t)
+            targets[j] = t
+        old = dst[lo:lo + mp].tolist()
+        changed = [lo + j for j in range(mp) if old[j] != targets[j]]
+        if not changed:
+            continue
+        dst[lo:lo + mp] = targets
+        # keys of parent's dtype, so that parent is not cast
+        changed = np.array(changed, dtype=parent.dtype)
+        a = np.searchsorted(parent, changed)
+        b = np.searchsorted(parent, changed, side="right")
+        for i, k in zip(a.tolist(), b.tolist()):
+            for w in child[i:k].tolist():
+                if w not in queued:
+                    queued.add(w)
+                    heapq.heappush(queue, w)
 
 
 class _FoldedAccumulator:

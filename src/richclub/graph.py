@@ -27,6 +27,8 @@ __all__ = [
 _INT64_MAX = 2 ** 63 - 1
 NODE_LIMIT = 2 ** 31  # node counts must stay below this (int32 ids)
 _SCAN_CHUNK = 1 << 20  # bytes
+_WRITE_CHUNK = 1 << 15  # lines
+_POW10 = np.array([10 ** j for j in range(1, 20)], dtype=np.uint64)
 
 
 class EdgeListError(ValueError):
@@ -367,14 +369,45 @@ def write_edge_list(g: Graph, out: IO[str] | str) -> None:
             write_edge_list(g, fh)
             return
     if g.original_ids is not None:
-        label = g.original_ids
+        label = np.asarray(g.original_ids, dtype=np.int64)
     else:
         label = np.arange(g.n, dtype=np.int64)
     out.write(f"# n={g.n} m={g.m} directed={int(g.directed)}\n")
-    out.writelines(f"{v} {v}\n" for v in label.tolist())
+    for lo in range(0, g.n, _WRITE_CHUNK):
+        out.write(_format_lines(label[lo:lo + _WRITE_CHUNK]))
     src, dst = g.edge_arrays()
-    ls, ld = label[src], label[dst]
-    out.writelines(f"{u} {v}\n" for u, v in zip(ls.tolist(), ld.tolist()))
+    for lo in range(0, len(src), _WRITE_CHUNK):
+        out.write(_format_lines(label[src[lo:lo + _WRITE_CHUNK]],
+                                label[dst[lo:lo + _WRITE_CHUNK]]))
+
+
+def _format_lines(a: np.ndarray, b: np.ndarray | None = None) -> str:
+    """``f"{a[i]} {b[i]}\\n"`` for every i, built as one ASCII buffer
+    (``b`` defaults to ``a``)."""
+    vals = np.empty(2 * len(a), dtype=np.int64)
+    vals[0::2] = a
+    vals[1::2] = a if b is None else b
+    neg = vals < 0
+    mag = vals.view(np.uint64)  # two's complement: |v| = -v mod 2**64
+    np.negative(mag, out=mag, where=neg)
+    width = 1 + int(np.count_nonzero(_POW10 <= mag.max()))
+    digits = np.ones(len(mag), dtype=np.int8)
+    for power in _POW10[:width - 1]:
+        digits += mag >= power
+    # one row per value: a sign column, the digits right-aligned with
+    # leading zeros, then the separator; a mask drops the padding
+    rows = np.empty((len(mag), width + 2), dtype=np.uint8)
+    for j in range(width, 0, -1):
+        quotient = mag // np.uint64(10)
+        rows[:, j] = mag - quotient * np.uint64(10)
+        mag = quotient
+    rows[:, 1:-1] += ord("0")
+    rows[0::2, -1] = ord(" ")
+    rows[1::2, -1] = ord("\n")
+    rows[neg, width - digits[neg]] = ord("-")
+    keep = (np.arange(width + 2, dtype=np.int8)
+            >= (width + 1 - digits - neg)[:, None])
+    return rows[keep].tobytes().decode("ascii")
 
 
 def underlying_undirected(g: Graph) -> Graph:

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .graph import Graph, underlying_undirected
 
@@ -282,6 +280,10 @@ def _component_columns(eu: np.ndarray, ev: np.ndarray, n: int):
     the at most n - 1 forest edges, taken in rank order, gives the
     largest component after each merge.
     """
+    # imported here, so that commands that never sweep skip loading scipy
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     # weights start at 1: an explicit zero would be read as no edge
     forest = minimum_spanning_tree(
         csr_matrix((ev + 1.0, (eu, ev)), shape=(n, n))).tocoo()

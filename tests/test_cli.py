@@ -15,12 +15,17 @@ def run_cli(*args):
     return main(list(args))
 
 
-def run_cli_subprocess(*args, cwd=None):
+def run_python(*args, cwd=None):
+    """Run a fresh interpreter with the package's ``src`` importable."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "richclub", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, cwd=cwd)
+
+
+def run_cli_subprocess(*args, cwd=None):
+    return run_python("-m", "richclub", *args, cwd=cwd)
 
 
 # -------------------------------------------------------- generate
@@ -33,7 +38,7 @@ def test_generate_ba_respects_edge_bound(tmp_path, capsys):
     assert code == 0
     g = parse_edge_list(str(out))
     assert g.n == 1000
-    assert g.m <= 45 + 9900
+    assert g.m == 45 + 9900
     assert "seed=7" in capsys.readouterr().out
 
 
@@ -90,6 +95,41 @@ def test_generate_node_limit_exit_2_before_any_work(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "n must be below 2147483648" in err
     assert not out.exists()
+
+
+def test_generate_out_of_memory_exit_1_one_line(tmp_path, capsys,
+                                               monkeypatch):
+    def refuse(cfg):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr("richclub.cli.generate", refuse)
+    out = tmp_path / "g.txt"
+    assert run_cli("generate", "--model", "ba", "--n", "2000000000",
+                   "--mprime", "1000", "--seed", "1", "-o", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "richclub: out of memory: Unable to allocate 14.6 TiB for an array"]
+    assert not out.exists()
+
+
+def test_generate_and_report_leave_scipy_unloaded(tmp_path):
+    # only the sweep needs scipy, so the other commands skip loading it
+    assert run_cli("generate", "--model", "ba", "--n", "200", "--mprime",
+                   "3", "--seed", "1", "-o", str(tmp_path / "g.txt")) == 0
+    assert run_cli("sweep", "-i", str(tmp_path / "g.txt"),
+                   "-o", str(tmp_path / "rows.csv")) == 0
+    script = (
+        "import sys\n"
+        "import richclub.cli\n"
+        "assert 'scipy' not in sys.modules, 'import richclub.cli'\n"
+        "for args in (['generate', '--model', 'ba', '--n', '200',\n"
+        "              '--mprime', '3', '--seed', '1', '-o', 'g2.txt'],\n"
+        "             ['report', '-i', 'rows.csv', '-o', 'plot']):\n"
+        "    assert richclub.cli.main(args) == 0\n"
+        "    assert 'scipy' not in sys.modules, args[0]\n")
+    proc = run_python("-c", script, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "g2.txt").read_bytes() == \
+        (tmp_path / "g.txt").read_bytes()
 
 
 def test_usage_error_exit_2_subprocess():

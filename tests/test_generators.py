@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 
 import numpy as np
@@ -101,17 +103,169 @@ def test_er_config_validation():
 # ---------------------------------------------------------------- BA
 
 
+def loop_ba_edges(n, mp, seed):
+    """Reference BA generator: the per-node rejection-sampling loop over
+    the endpoint pool that the vectorized ``generate_ba`` replaced, with
+    its random-number use (small n only)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    edges = [(i, j) for i in range(mp) for j in range(i + 1, mp)]
+    ends = np.empty(max(2 * (len(edges) + (n - mp) * mp), 1), dtype=np.int32)
+    pos = 2 * len(edges)
+    ends[:pos] = np.array(edges, dtype=np.int32).reshape(-1)
+    for v in range(mp, n):
+        chosen = set()
+        if pos == 0:
+            chosen.add(int(rng.integers(0, v)))
+        while len(chosen) < mp:
+            need = mp - len(chosen)
+            for t in ends[rng.integers(0, pos, size=need + 2)].tolist():
+                if t not in chosen:
+                    chosen.add(t)
+                    if len(chosen) == mp:
+                        break
+        for t in sorted(chosen):
+            edges.append((t, v))
+            ends[pos:pos + 2] = v, t
+            pos += 2
+    return edges
+
+
+def replay_ba_edges(n, mp, seed):
+    """Sequential replay of ``generate_ba``'s random numbers: node by
+    node, targets are read from the pool slots of the node's first draws
+    (one substream, drawn at once as ``generate_ba`` does), and each
+    repeat is replaced in turn by redraws (a second substream) until a
+    new node comes up.  No pointer chasing and no fix-up order: the
+    vectorized generator must give exactly this graph."""
+    first_seed, redraw_seed = np.random.SeedSequence(seed).spawn(2)
+    clique = mp * (mp - 1) // 2
+    pool = [a for i in range(mp) for j in range(i + 1, mp) for a in (i, j)]
+    start = mp
+    if mp == 1 and n > 1:
+        pool += [1, 0]  # node 1 faces an empty pool
+        start = 2
+    high = [2 * (clique + (v - mp) * mp) for v in range(start, n)
+            for _ in range(mp)]
+    draws = np.random.default_rng(first_seed).integers(
+        0, np.array(high, dtype=np.int64), dtype=np.int32).tolist()
+    redraw = np.random.default_rng(redraw_seed)
+    for i, v in enumerate(range(start, n)):
+        targets = [pool[d] for d in draws[i * mp:(i + 1) * mp]]
+        seen = set(targets)
+        for j in range(mp):
+            if targets[j] in targets[:j]:
+                t = targets[j]
+                while t in seen:
+                    t = pool[int(redraw.integers(0, len(pool)))]
+                seen.add(t)
+                targets[j] = t
+        for t in targets:
+            pool += [v, t]
+    return {(min(a, b), max(a, b)) for a, b in zip(pool[0::2], pool[1::2])}
+
+
+@pytest.mark.parametrize("n, mp, seed", [
+    (2, 1, 1), (300, 1, 2), (5, 2, 3), (6, 3, 4), (400, 2, 5),
+    (2000, 4, 6), (3000, 10, 7), (200, 30, 8)])
+def test_ba_equals_sequential_replay(n, mp, seed):
+    g = generate_ba(GeneratorConfig.ba(n, mp, seed))
+    assert edge_set(g) == replay_ba_edges(n, mp, seed)
+
+
+def assert_arrivals_exact(g, mp):
+    """Clique nodes link to every smaller id; each later node to exactly
+    ``mp`` distinct smaller ids (the graph would drop a repeat)."""
+    src, dst = g.edge_arrays()
+    earlier = np.bincount(dst, minlength=g.n)
+    want = np.minimum(np.arange(g.n), mp)
+    assert earlier.tolist() == want.tolist()
+    assert g.m == mp * (mp - 1) // 2 + (g.n - mp) * mp
+
+
 def test_ba_clique_seed_only():
     g = generate_ba(GeneratorConfig.ba(5, 5, seed=1))
     assert g.n == 5 and g.m == 10
     assert all(g.degree(v) == 4 for v in range(5))
 
 
-def test_ba_edge_count_is_exact():
-    # every arrival adds exactly mprime distinct edges
-    for n, mp, seed in ((50, 10, 1), (200, 3, 2), (400, 1, 3)):
+@pytest.mark.parametrize("n, mp", [
+    (1, 1),        # one node, no edges
+    (2, 1),        # node 1 faces an empty pool
+    (60, 1),       # a tree
+    (6, 6),        # n == mprime: the clique alone
+    (7, 6),        # mprime == n - 1: the last node links to all
+    (40, 39),
+])
+def test_ba_edge_cases(n, mp):
+    for seed in (1, 2, 3):
         g = generate_ba(GeneratorConfig.ba(n, mp, seed))
-        assert g.m == mp * (mp - 1) // 2 + (n - mp) * mp
+        assert g.n == n
+        assert_arrivals_exact(g, mp)
+
+
+def test_ba_edge_count_is_exact():
+    # every arrival adds exactly mprime distinct edges to smaller ids;
+    # the larger graphs have many redraws and pushed-down fixes
+    for n, mp, seed in ((50, 10, 1), (200, 3, 2), (400, 1, 3),
+                        (20_000, 10, 4), (5000, 2, 5)):
+        assert_arrivals_exact(generate_ba(GeneratorConfig.ba(n, mp, seed)),
+                              mp)
+
+
+def test_ba_degrees_match_reference_loop():
+    """Two-sample KS test on the pooled degree sequences of 8 seeds."""
+    stats = pytest.importorskip("scipy.stats")
+    n, mp = 20_000, 3
+    fast, loop = [], []
+    for seed in range(8):
+        fast.append(generate_ba(GeneratorConfig.ba(n, mp, seed)).degrees)
+        edges = np.array(loop_ba_edges(n, mp, seed))
+        loop.append(np.bincount(edges.ravel(), minlength=n))
+    result = stats.ks_2samp(np.concatenate(fast), np.concatenate(loop))
+    assert result.pvalue > 0.01, result
+
+
+def exact_ba_law(n, mp):
+    """Probability of every BA(n, mp) edge set: each arrival takes an
+    ordered degree-proportional sample without replacement."""
+    law = {frozenset(itertools.combinations(range(mp), 2)): 1.0}
+    for v in range(mp, n):
+        grown = collections.defaultdict(float)
+        for edges, p in law.items():
+            ends = np.array(sorted(edges), dtype=np.int64).ravel()
+            deg = np.bincount(ends, minlength=v)
+            if not deg.any():
+                grown[edges | {(0, v)}] += p
+                continue
+            for targets in itertools.combinations(np.flatnonzero(deg), mp):
+                q = 0.0
+                for order in itertools.permutations(targets):
+                    left = deg.sum()
+                    r = 1.0
+                    for u in order:
+                        r *= deg[u] / left
+                        left -= deg[u]
+                    q += r
+                grown[edges | {(int(u), v) for u in targets}] += p * q
+        law = grown
+    return law
+
+
+@pytest.mark.parametrize("n, mp", [(6, 1), (6, 2), (6, 3)])
+def test_ba_graph_frequencies_match_exact_law(n, mp):
+    """Chi-square of 3000 seeded graphs against the exact law: early
+    arrivals on a tiny pool redraw often, so this exercises the
+    duplicate fix-up and its push-down to copied slots."""
+    law = exact_ba_law(n, mp)
+    reps = 3000
+    counts = collections.Counter(
+        frozenset(edge_set(generate_ba(GeneratorConfig.ba(n, mp, seed))))
+        for seed in range(reps))
+    assert set(counts) <= set(law)
+    chi2 = sum((counts[g] - reps * p) ** 2 / (reps * p)
+               for g, p in law.items())
+    df = len(law) - 1
+    assert (chi2 - df) / math.sqrt(2 * df) < 4, (chi2, df)
 
 
 def test_ba_determinism():

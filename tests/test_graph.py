@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from richclub import (
@@ -139,6 +140,64 @@ def test_write_parse_round_trip_preserves_labels(rng):
         assert edge_set(g2) == edge_set(g)
         # original labels survive the trip as well
         assert g2.original_ids.tolist() == g.original_ids.tolist()
+
+
+def fstring_edge_list(g) -> str:
+    """Reference writer: the per-line f-strings that the bulk formatter
+    of ``write_edge_list`` replaced."""
+    label = g.original_ids
+    if label is None:
+        label = np.arange(g.n, dtype=np.int64)
+    src, dst = g.edge_arrays()
+    return (f"# n={g.n} m={g.m} directed={int(g.directed)}\n"
+            + "".join(f"{v} {v}\n" for v in label.tolist())
+            + "".join(f"{u} {v}\n" for u, v in zip(label[src].tolist(),
+                                                   label[dst].tolist())))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("ids", ["dense", "digits", "int64", "signed"])
+def test_write_edge_list_matches_fstring_writer(rng, tmp_path, directed,
+                                                ids):
+    # 40_000 edges span more than one formatting chunk; ids 200..299
+    # never appear in an edge, so those nodes are isolated
+    n = 300
+    src = rng.integers(0, 200, 40_000)
+    dst = rng.integers(0, 200, 40_000)
+    original = {
+        "dense": None,
+        "digits": np.array(
+            sorted({0, 2 ** 63 - 1} | {10 ** j + d for j in range(1, 19)
+                                       for d in (-1, 0, 1)})
+            + list(range(5 * 10 ** 17, 5 * 10 ** 17 + n - 56))),
+        "int64": rng.integers(0, 2 ** 63 - 1, n, endpoint=True),
+        "signed": rng.integers(-2 ** 63, 2 ** 63 - 1, n, endpoint=True),
+    }[ids]
+    g = Graph.from_edges(n, src, dst, directed=directed,
+                         original_ids=original)
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    assert buf.getvalue() == fstring_edge_list(g)
+    if ids != "signed":  # the format holds ids in [0, 2**63)
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        assert path.read_text() == buf.getvalue()
+        g2 = parse_edge_list(path, directed=directed)
+        assert (g2.n, g2.m) == (g.n, g.m)
+        assert edge_set(g2) == edge_set(g)
+        assert g2.original_ids.tolist() == (
+            list(range(n)) if original is None else original.tolist())
+
+
+def test_write_edge_list_single_node_without_edges():
+    # a largest id that is a power of ten needs its full digit count
+    for ids in (None, np.array([2 ** 63 - 1]), np.array([10]),
+                np.array([10 ** 18])):
+        g = Graph.from_edges(1, [], [], original_ids=ids)
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        assert buf.getvalue() == fstring_edge_list(g)
+        assert parse_edge_list(buf.getvalue().splitlines()).n == 1
 
 
 def test_write_header_records_counts():
