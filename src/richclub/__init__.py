@@ -20,7 +20,6 @@ from .axioms import (
 from .generators import (
     BipartiteAffiliation,
     GeneratorConfig,
-    fold_bipartite,
     generate,
     generate_affiliation,
     generate_ba,
@@ -55,9 +54,8 @@ __all__ = [
     "AxiomReport", "AxiomThresholds", "DEFAULT_THRESHOLDS",
     "ERDensityReport", "VerificationError", "estimate_er_density",
     "evaluate_axioms", "minimal_elite", "verify_ba_bound",
-    "BipartiteAffiliation", "GeneratorConfig", "fold_bipartite",
-    "generate", "generate_affiliation", "generate_ba", "generate_er",
-    "write_bipartite",
+    "BipartiteAffiliation", "GeneratorConfig", "generate",
+    "generate_affiliation", "generate_ba", "generate_er", "write_bipartite",
     "EdgeListError", "Graph", "floor_sqrt_edges", "parse_edge_list",
     "underlying_undirected", "write_edge_list",
     "CSV_COLUMNS", "DegreeOrder", "KGrid", "SweepRow",

@@ -279,7 +279,6 @@ class ERDensityReport:
 
 def estimate_er_density(g: Graph, order: DegreeOrder, p: float,
                         k_values: Sequence[int],
-                        z_limit: float = 5.0,
                         min_k: int = 1000) -> ERDensityReport:
     """z-scores of club-internal edge counts against Binomial(C(k,2), p).
 
@@ -288,8 +287,9 @@ def estimate_er_density(g: Graph, order: DegreeOrder, p: float,
     subset: an edge feeds both endpoint degrees, so clubs of an exactly
     correct sampler still sit above the unconditional mean, and the
     enrichment grows as k/n shrinks.  Treat this as a coarse density
-    gate for structured graphs rather than an exact calibration; rows
-    below ``min_k`` are reported but never gated.
+    gate for structured graphs rather than an exact calibration: a row
+    fails when ``|z| > 5``, and rows below ``min_k`` are reported but
+    never gated.
     """
     cum = internal_edges_by_k(g, order)
     rows = []
@@ -305,7 +305,7 @@ def estimate_er_density(g: Graph, order: DegreeOrder, p: float,
             z = (internal - mean) / sigma
         else:
             z = 0.0 if internal == round(mean) else math.inf
-        ok = abs(z) <= z_limit or k < min_k
+        ok = abs(z) <= 5.0 or k < min_k
         passed = passed and ok
         rows.append({"k": k, "internal_edges": internal, "mean": mean,
                      "sigma": sigma, "z": z, "passed": ok})

@@ -23,7 +23,6 @@ __all__ = [
     "generate_er",
     "generate_ba",
     "generate_affiliation",
-    "fold_bipartite",
     "write_bipartite",
 ]
 
@@ -105,12 +104,6 @@ class BipartiteAffiliation:
     actor_count: int
     society_count: int
     edges: list[tuple[int, int]] = field(default_factory=list)
-
-    def society_members(self) -> list[list[int]]:
-        members: list[list[int]] = [[] for _ in range(self.society_count)]
-        for a, u in self.edges:
-            members[u].append(a)
-        return members
 
 
 def generate(cfg: GeneratorConfig):
@@ -417,27 +410,6 @@ def generate_affiliation(cfg: GeneratorConfig):
                          np.array(folded.dst, dtype=np.int64),
                          directed=False)
     return bip, g
-
-
-def fold_bipartite(b: BipartiteAffiliation) -> Graph:
-    """Project actors sharing at least one society onto a simple graph.
-
-    Enumerates member pairs per society (quadratic in society size), so
-    intended for inspection and moderate inputs; the generator folds
-    incrementally instead.
-    """
-    src: list[int] = []
-    dst: list[int] = []
-    for members in b.society_members():
-        members = sorted(set(members))
-        for i, a in enumerate(members):
-            for c in members[i + 1:]:
-                src.append(a)
-                dst.append(c)
-    if b.actor_count < 1:
-        raise ValueError("bipartite graph has no actors")
-    return Graph.from_edges(b.actor_count, np.array(src, dtype=np.int64),
-                            np.array(dst, dtype=np.int64), directed=False)
 
 
 def write_bipartite(b: BipartiteAffiliation, out: IO[str] | str) -> None:

@@ -27,6 +27,7 @@ __all__ = [
 _INT64_MAX = 2 ** 63 - 1
 NODE_LIMIT = 2 ** 31  # node counts must stay below this (int32 ids)
 _SCAN_CHUNK = 1 << 20  # bytes
+_COMMENT = "#"  # opens a comment line
 _WRITE_CHUNK = 1 << 15  # lines
 _POW10 = np.array([10 ** j for j in range(1, 20)], dtype=np.uint64)
 
@@ -183,13 +184,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, {kind})"
 
 
-def parse_edge_list(source, directed=False, comment="#") -> Graph:
+def parse_edge_list(source, directed=False) -> Graph:
     """Parse a SNAP-style edge list into a normalized :class:`Graph`.
 
     ``source`` is a path, an open text file, or an iterable of lines.
     Every non-comment line must hold exactly two integer ids in
-    ``[0, 2**63)``.  A line whose first non-blank character is
-    ``comment`` is a comment; a ``comment`` anywhere else is an error.
+    ``[0, 2**63)``.  A line whose first non-blank character is ``#``
+    is a comment; a ``#`` anywhere else is an error.
     Ids are compacted to ``0..n-1`` in order of first appearance (nodes
     mentioned only on dropped self-loop or duplicate lines still
     count); the original ids are kept on ``graph.original_ids``.
@@ -200,18 +201,18 @@ def parse_edge_list(source, directed=False, comment="#") -> Graph:
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "rb") as fh:
             data = fh.read()
-        ids = _scan_ids(data, comment)
+        ids = _scan_ids(data)
         if ids is None:
             ids = _read_ids(
-                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), comment)
+                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     else:
-        ids = _read_ids(source, comment)
+        ids = _read_ids(source)
     original, codes = _first_appearance(ids)
     return Graph.from_edges(len(original), codes[0::2], codes[1::2],
                             directed=directed, original_ids=original)
 
 
-def _scan_ids(data: bytes, comment: str):
+def _scan_ids(data: bytes):
     """Vectorized tokenizer for clean edge lists.
 
     Returns the ids in file order, two per edge line, when every line
@@ -221,9 +222,6 @@ def _scan_ids(data: bytes, comment: str):
     input, which the line loop then accepts or rejects, so this path
     never changes what is accepted.
     """
-    if (len(comment) != 1 or not comment.isascii() or comment.isdigit()
-            or comment.isspace()):
-        return None
     if not data.isascii():
         try:
             data.decode("utf-8")
@@ -239,7 +237,7 @@ def _scan_ids(data: bytes, comment: str):
             hi = len(data)
         elif hi <= lo:  # one line longer than a chunk
             hi = data.find(b"\n", lo + _SCAN_CHUNK) + 1 or len(data)
-        ids = _scan_chunk(buf[lo:hi], ord(comment))
+        ids = _scan_chunk(buf[lo:hi])
         if ids is None:
             return None
         parts.append(ids)
@@ -252,7 +250,7 @@ def _scan_ids(data: bytes, comment: str):
     return ids.view(np.int64)
 
 
-def _scan_chunk(buf: np.ndarray, comment: int):
+def _scan_chunk(buf: np.ndarray):
     """:func:`_scan_ids` on whole lines: uint64 ids, or None."""
     # a lone \r ends a line in universal-newline mode
     cr = np.flatnonzero(buf[:-1] == 13)
@@ -281,7 +279,7 @@ def _scan_chunk(buf: np.ndarray, comment: int):
     other = np.flatnonzero(~blank & (np.subtract(buf, 48, dtype=np.uint8)
                                      > 9))
     if len(other):
-        is_comment = buf[starts[opens]] == comment
+        is_comment = buf[starts[opens]] == ord(_COMMENT)
         in_comment = is_comment[np.cumsum(opens) - 1]
         token = np.searchsorted(starts, other, side="right") - 1
         if not in_comment[token].all():
@@ -306,7 +304,7 @@ def _scan_chunk(buf: np.ndarray, comment: int):
     return ids
 
 
-def _read_ids(lines, comment: str) -> np.ndarray:
+def _read_ids(lines) -> np.ndarray:
     """Line-by-line parse: the ids in file order, two per edge line.
 
     Raises :class:`EdgeListError` at the first malformed line.
@@ -314,7 +312,7 @@ def _read_ids(lines, comment: str) -> np.ndarray:
     ids: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith(comment):
+        if not stripped or stripped.startswith(_COMMENT):
             continue
         parts = stripped.split()
         if len(parts) != 2:

@@ -274,28 +274,54 @@ def _component_columns(eu: np.ndarray, ev: np.ndarray, n: int):
     """Component count and largest component size for k = 0..n.
 
     The top-k club holds exactly the edges whose higher rank is below
-    k.  With each edge weighted by that rank, any minimum spanning
-    forest restricted to weights below k spans the club's components,
-    so components(k) = k - (forest edges below k).  A union-find over
-    the at most n - 1 forest edges, taken in rank order, gives the
+    k.  Keyed by ``ev * m + edge index``, which orders the edges
+    strictly by that rank, the graph has one minimum spanning forest;
+    its edges below rank k span the club's components, so
+    components(k) = k - (forest edges below k).
+
+    Boruvka rounds grow the forest: every component hooks, along its
+    lightest incident edge, to the component at the other end (of two
+    components that pick the same edge, the smaller id stays root);
+    pointer jumping relabels both endpoints, and edges that became
+    internal are dropped.  Each round at least halves the components
+    with an edge, so at most log2(n) rounds run.  A union-find over the
+    at most n - 1 forest edges, taken in key order, then gives the
     largest component after each merge.
     """
-    # imported here, so that commands that never sweep skip loading scipy
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import minimum_spanning_tree
-
-    # weights start at 1: an explicit zero would be read as no edge
-    forest = minimum_spanning_tree(
-        csr_matrix((ev + 1.0, (eu, ev)), shape=(n, n))).tocoo()
-    hi = forest.data.astype(np.int64) - 1
-    by_rank = np.argsort(hi)
+    m = len(eu)
+    key = ev * m + np.arange(m)
+    cu, cv = eu, ev
+    parent = np.arange(n)
+    forest = [key[:0]]  # typed, for graphs without edges
+    for _ in range(n.bit_length()):
+        if not len(key):
+            break
+        best = np.full(n, m * n)  # above every key
+        np.minimum.at(best, cu, key)
+        np.minimum.at(best, cv, key)
+        u_picks = best[cu] == key
+        v_picks = best[cv] == key
+        forest.append(key[u_picks | v_picks])
+        # on a mutual pick only the larger id hooks
+        u_hooks = u_picks & ~(v_picks & (cu < cv))
+        v_hooks = v_picks & ~(u_picks & (cv < cu))
+        parent[cu[u_hooks]] = cv[u_hooks]
+        parent[cv[v_hooks]] = cu[v_hooks]
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        cu, cv = parent[cu], parent[cv]
+        keep = cu != cv
+        key, cu, cv = key[keep], cu[keep], cv[keep]
+    hi, idx = np.divmod(np.sort(np.concatenate(forest)), max(m, 1))
     forest_below = _count_below(hi, n)
 
     parent = list(range(n))
     size = [1] * n
     merged = []
-    for a, b in zip(forest.row[by_rank].tolist(),
-                    forest.col[by_rank].tolist()):
+    for a, b in zip(eu[idx].tolist(), ev[idx].tolist()):
         while parent[a] != a:  # find with path halving, inlined
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:

@@ -111,25 +111,36 @@ def test_generate_out_of_memory_exit_1_one_line(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_generate_and_report_leave_scipy_unloaded(tmp_path):
-    # only the sweep needs scipy, so the other commands skip loading it
-    assert run_cli("generate", "--model", "ba", "--n", "200", "--mprime",
-                   "3", "--seed", "1", "-o", str(tmp_path / "g.txt")) == 0
-    assert run_cli("sweep", "-i", str(tmp_path / "g.txt"),
-                   "-o", str(tmp_path / "rows.csv")) == 0
-    script = (
-        "import sys\n"
-        "import richclub.cli\n"
-        "assert 'scipy' not in sys.modules, 'import richclub.cli'\n"
-        "for args in (['generate', '--model', 'ba', '--n', '200',\n"
-        "              '--mprime', '3', '--seed', '1', '-o', 'g2.txt'],\n"
-        "             ['report', '-i', 'rows.csv', '-o', 'plot']):\n"
-        "    assert richclub.cli.main(args) == 0\n"
-        "    assert 'scipy' not in sys.modules, args[0]\n")
-    proc = run_python("-c", script, cwd=tmp_path)
+PIPELINE = (
+    ["generate", "--model", "ba", "--n", "200", "--mprime", "3",
+     "--seed", "1", "-o", "g.txt"],
+    ["sweep", "-i", "g.txt", "-o", "rows.csv"],
+    ["axioms", "-i", "g.txt", "-o", "axioms.json"],
+    ["report", "-i", "rows.csv", "-o", "plot"],
+)
+
+
+def test_every_command_runs_without_scipy(tmp_path, monkeypatch, capsys):
+    # numpy is the only runtime dependency: with scipy made unimportable,
+    # every command still succeeds and writes the same files
+    blocked, plain = tmp_path / "blocked", tmp_path / "plain"
+    blocked.mkdir()
+    plain.mkdir()
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "import richclub.cli\n"
+              f"for args in {PIPELINE!r}:\n"
+              "    assert richclub.cli.main(args) == 0, args[0]\n")
+    proc = run_python("-c", script, cwd=blocked)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "g2.txt").read_bytes() == \
-        (tmp_path / "g.txt").read_bytes()
+    monkeypatch.chdir(plain)
+    for args in PIPELINE:
+        assert run_cli(*args) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in plain.iterdir())
+    assert sorted(p.name for p in blocked.iterdir()) == names
+    for name in names:
+        assert (blocked / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_usage_error_exit_2_subprocess():

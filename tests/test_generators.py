@@ -8,7 +8,6 @@ import pytest
 from richclub import (
     BipartiteAffiliation,
     GeneratorConfig,
-    fold_bipartite,
     generate,
     generate_affiliation,
     generate_ba,
@@ -373,29 +372,6 @@ def brute_fold(b: BipartiteAffiliation) -> set:
     return edges
 
 
-def test_fold_star_society_is_clique():
-    b = BipartiteAffiliation(4, 1, [(0, 0), (1, 0), (2, 0), (3, 0)])
-    g = fold_bipartite(b)
-    assert g.m == 6 and all(g.degree(v) == 3 for v in range(4))
-
-
-def test_fold_disjoint_societies():
-    b = BipartiteAffiliation(4, 2, [(0, 0), (1, 0), (2, 1), (3, 1)])
-    g = fold_bipartite(b)
-    assert edge_set(g) == {(0, 1), (2, 3)}
-
-
-def test_fold_matches_brute_force(rng):
-    for _ in range(5):
-        edges = [(int(a), int(u))
-                 for a, u in zip(rng.integers(0, 20, 60),
-                                 rng.integers(0, 10, 60))]
-        b = BipartiteAffiliation(20, 10, sorted(set(edges)))
-        g = fold_bipartite(b)
-        assert edge_set(g) == brute_fold(b)
-        assert g.loops_dropped == 0
-
-
 def test_affiliation_seed_folds_to_single_edge():
     bip, g = generate_affiliation(GeneratorConfig.affiliation(2, seed=1))
     assert g.n == 2 and g.m == 1
@@ -406,7 +382,6 @@ def test_affiliation_fold_equals_definition():
     for seed in (1, 2):
         cfg = GeneratorConfig.affiliation(150, seed=seed)
         bip, g = generate_affiliation(cfg)
-        assert edge_set(g) == edge_set(fold_bipartite(bip))
         assert edge_set(g) == brute_fold(bip)
 
 

@@ -63,22 +63,22 @@ def test_parse_int64_bounds_on_fast_path(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text(f"0 1\n{top} 1\n900 65536\n")
     ids = [0, 1, top, 1, 900, 65536]
-    assert _scan_ids(path.read_bytes(), "#").tolist() == ids
+    assert _scan_ids(path.read_bytes()).tolist() == ids
     assert parse_edge_list(path).original_ids.tolist() == [0, 1, top, 900,
                                                            65536]
     for big in (2 ** 63, 10 ** 20):
         # the fast path declines, and the line loop reports the line
         path.write_text(f"0 1\n{big} 2\n")
-        assert _scan_ids(path.read_bytes(), "#") is None
+        assert _scan_ids(path.read_bytes()) is None
         with pytest.raises(EdgeListError, match="line 2: .*int64"):
             parse_edge_list(path)
 
 
 def test_parse_int64_bounds_in_line_loop():
     with pytest.raises(EdgeListError, match="line 3: .*int64"):
-        _read_ids(["# c", "0 1", "2 100000000000000000000"], "#")
+        _read_ids(["# c", "0 1", "2 100000000000000000000"])
     with pytest.raises(EdgeListError, match="line 1: .*int64"):
-        _read_ids([f"{2 ** 63} 0"], "#")
+        _read_ids([f"{2 ** 63} 0"])
     # zero-padded ids longer than 19 digits are valid, via the loop
     g = parse_edge_list(["0000000000000000000000007 1"])
     assert g.original_ids.tolist() == [7, 1]
@@ -87,17 +87,6 @@ def test_parse_int64_bounds_in_line_loop():
 def test_parse_accepts_tabs_and_file_objects():
     g = parse_edge_list(io.StringIO("# c\n0\t1\n1\t2\n"))
     assert (g.n, g.m) == (3, 2)
-
-
-def test_parse_other_comment_prefixes(tmp_path):
-    path = tmp_path / "edges.txt"
-    path.write_bytes(b"% c\n0 1\n")
-    assert _scan_ids(path.read_bytes(), "%").tolist() == [0, 1]
-    assert parse_edge_list(path, comment="%").m == 1
-    # a whitespace prefix never opens a comment: lines are stripped first
-    path.write_bytes(b"\x0b0 1\n2 3\n")
-    g = parse_edge_list(path, comment="\x0b")
-    assert g.original_ids.tolist() == [0, 1, 2, 3]
 
 
 def test_parse_empty_input_is_an_error():

@@ -89,8 +89,7 @@ CHUNK = st.sampled_from([graph._SCAN_CHUNK, 1, 2, 7, 30])
 def loop_graph(data, directed):
     """The line loop's reading of ``data``, compacted through a dict."""
     try:
-        ids = _read_ids(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
-                        "#")
+        ids = _read_ids(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except EdgeListError as exc:
         return ("error", exc.line)
     except UnicodeDecodeError:
@@ -147,11 +146,10 @@ def edges_path(tmp_path_factory):
 def test_parse_matches_line_loop(edges_path, data, directed, chunk):
     want = loop_graph(data, directed)
     with mock.patch.object(graph, "_SCAN_CHUNK", chunk):
-        fast = _scan_ids(data, "#")
+        fast = _scan_ids(data)
     if fast is not None:
         assert not isinstance(want, tuple)
-        ids = _read_ids(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
-                        "#")
+        ids = _read_ids(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         assert np.array_equal(fast, ids)
     edges_path.write_bytes(data)
     assert_same(parsed(edges_path, directed), want)
@@ -163,7 +161,7 @@ def test_clean_input_takes_fast_path(data, chunk):
     if isinstance(loop_graph(data, False), tuple):
         return  # no edge line: the empty-input error
     with mock.patch.object(graph, "_SCAN_CHUNK", chunk):
-        assert _scan_ids(data, "#") is not None
+        assert _scan_ids(data) is not None
 
 
 @st.composite

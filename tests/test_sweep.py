@@ -124,9 +124,29 @@ def outside_edges(g, order, k):
                if rank[u] >= k and rank[v] >= k)
 
 
+def path(nodes):
+    return Graph.from_edges(len(nodes), nodes[:-1], nodes[1:])
+
+
+def forest_cases():
+    """Graphs that stress the spanning forest behind the component
+    columns (ranks follow ids among nodes of equal degree)."""
+    # ranks alternate low/high along the path: one long hook chain
+    yield path([v for i in range(32) for v in (i, 63 - i)])
+    # bit-reversed ranks along the path: a new Boruvka round per doubling
+    yield path([int(format(v, "06b")[::-1], 2) for v in range(64)])
+    # every edge shares the centre's rank
+    yield star(40)
+    # two 9-cliques, each with a pendant; the edge between the pendants
+    # has the last rank, so the halves join only at k = n
+    src, dst = zip(*[(h + i, h + j) for h in (0, 10)
+                     for i in range(9) for j in range(i + 1, 9)])
+    yield Graph.from_edges(20, src + (8, 18, 9), dst + (9, 19, 19))
+
+
 def test_engines_agree_everywhere(rng):
-    for trial in range(12):
-        g = random_graph(rng, n_max=80)
+    graphs = [random_graph(rng, n_max=80) for _ in range(12)]
+    for g in graphs + list(forest_cases()):
         order = degree_order(g)
         fast = run_sweep(g, KGrid(kind="full"))
         for k in range(1, g.n + 1):
