@@ -10,12 +10,9 @@ from .axioms import (
     AxiomReport,
     AxiomThresholds,
     DEFAULT_THRESHOLDS,
-    ERDensityReport,
     VerificationError,
-    estimate_er_density,
     evaluate_axioms,
     minimal_elite,
-    verify_ba_bound,
 )
 from .generators import (
     BipartiteAffiliation,
@@ -39,6 +36,7 @@ from .sweep import (
     DegreeOrder,
     KGrid,
     SweepRow,
+    SweepTable,
     degree_order,
     internal_edges_by_k,
     metrics_at_k,
@@ -52,13 +50,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomReport", "AxiomThresholds", "DEFAULT_THRESHOLDS",
-    "ERDensityReport", "VerificationError", "estimate_er_density",
-    "evaluate_axioms", "minimal_elite", "verify_ba_bound",
+    "VerificationError", "evaluate_axioms", "minimal_elite",
     "BipartiteAffiliation", "GeneratorConfig", "generate",
     "generate_affiliation", "generate_ba", "generate_er", "write_bipartite",
     "EdgeListError", "Graph", "floor_sqrt_edges", "parse_edge_list",
     "underlying_undirected", "write_edge_list",
-    "CSV_COLUMNS", "DegreeOrder", "KGrid", "SweepRow",
+    "CSV_COLUMNS", "DegreeOrder", "KGrid", "SweepRow", "SweepTable",
     "degree_order", "internal_edges_by_k", "metrics_at_k",
     "read_rows_csv", "run_sweep", "sociability_profile",
     "write_rows_csv",

@@ -23,12 +23,14 @@ import sys
 import tempfile
 from contextlib import contextmanager
 
+import numpy as np
+
 from .axioms import AxiomThresholds, evaluate_axioms, minimal_elite
 from .generators import GeneratorConfig, generate, write_bipartite
 from .graph import floor_sqrt_edges, parse_edge_list, \
     underlying_undirected, write_edge_list
-from .sweep import KGrid, read_rows_csv, run_sweep, sociability_profile, \
-    write_rows_csv
+from .sweep import CSV_COLUMNS, KGrid, SweepTable, read_rows_csv, \
+    run_sweep, sociability_profile, write_rows_csv
 
 __all__ = ["main"]
 
@@ -163,10 +165,10 @@ def _cmd_generate(args) -> int:
 
 
 def _echo_sqrt_m_row(rows, m):
-    k = math.isqrt(m) if m else 0
-    row = next((r for r in rows if r.k == k), None)
-    if row is None:
+    if not m:
         return
+    # every grid holds floor(sqrt(m))
+    row = rows[int(np.searchsorted(rows.k, math.isqrt(m)))]
     c2 = f"{row.c2:.4g}" if row.c2 is not None else "null"
     extra = ""
     if row.internal_arcs is not None:
@@ -211,7 +213,7 @@ def _cmd_axioms(args) -> int:
     g = parse_edge_list(args.input, directed=args.directed)
     rows = run_sweep(g, grid)
     m = underlying_undirected(g).m
-    k = floor_sqrt_edges(underlying_undirected(g)) if m else rows[-1].k
+    k = floor_sqrt_edges(underlying_undirected(g)) if m else int(rows.k[-1])
     report = evaluate_axioms(rows, k, thresholds, m=m)
     minimal = minimal_elite(rows, thresholds, m=m)
     report.minimal_k = minimal.minimal_k
@@ -230,46 +232,44 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    merged = {}
-    expected_n = None
+    tables = []
     for path in args.input:
         try:
-            rows = read_rows_csv(path)
+            table = read_rows_csv(path)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        if not rows:
+        if not len(table):
             raise ValueError(f"{path}: no data rows")
-        n = max(r.k for r in rows)
-        if expected_n is None:
-            expected_n = n
-        elif n != expected_n:
+        n = int(table.k.max())
+        if tables and n != expected_n:
             raise ValueError(
                 f"{path}: sweep of a different graph "
                 f"(n={n}, expected {expected_n})")
-        for r in rows:
-            merged.setdefault(r.k, r)
-    rows = [merged[k] for k in sorted(merged)]
-    n = expected_n
+        expected_n = n
+        tables.append(table)
+    # one row per club size, from the first file that has it
+    _, first = np.unique(np.concatenate([t.k for t in tables]),
+                         return_index=True)
+    rows = SweepTable(**{
+        name: np.concatenate([getattr(t, name) for t in tables])[first]
+        for name in CSV_COLUMNS
+        if all(getattr(t, name) is not None for t in tables)})
     log_n = math.log(n) if n > 1 else 1.0
-
-    def x_of(k):
-        return math.log(k) / log_n if n > 1 else 0.0
+    xs = [math.log(k) / log_n if n > 1 else 0.0 for k in rows.k.tolist()]
 
     for metric in ("c1", "c2", "c3"):
         with _staged_outputs(f"{args.output}_{metric}.dat") as fh:
             fh.write(f"# x=log_n(k)  y={metric}\n")
-            for r in rows:
-                y = getattr(r, metric)
-                if y is None:
-                    continue
-                fh.write(f"{x_of(r.k):.6g} {y:.6g}\n")
+            fh.writelines(f"{x:.6g} {y:.6g}\n" for x, y
+                          in zip(xs, getattr(rows, metric).tolist())
+                          if y == y)  # NaN is a null value
     profile = sociability_profile(rows)
     with _staged_outputs(f"{args.output}_sociability.dat") as fh:
         fh.write(f"# x=log_n(k)  y=normalized internal edges per member\n"
                  f"# argmax_k={profile.argmax_k} "
                  f"max_raw={profile.max_raw:.6g}\n")
-        for k, y in profile.points:
-            fh.write(f"{x_of(k):.6g} {y:.6g}\n")
+        fh.writelines(f"{x:.6g} {y:.6g}\n"
+                      for x, (_, y) in zip(xs, profile.points))
     print(f"wrote {args.output}_{{c1,c2,c3,sociability}}.dat "
           f"(argmax_k={profile.argmax_k})")
     return 0

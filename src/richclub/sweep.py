@@ -10,6 +10,9 @@ size on a grid.
 once for every club size k = 0..n as a prefix array (cumulative counts
 keyed by rank, plus a spanning forest grown in rank order for the
 component columns), so a grid of any density costs one fancy index.
+It returns a :class:`SweepTable`, one array per CSV column, which the
+CSV writer and reader, the sociability profile and the axiom checks
+all consume column by column.
 :func:`metrics_at_k` recomputes a single club from scratch by plain
 traversal; it is the reference semantics, kept deliberately naive as
 the testing oracle.
@@ -33,6 +36,7 @@ from .graph import Graph, underlying_undirected
 __all__ = [
     "DegreeOrder",
     "SweepRow",
+    "SweepTable",
     "KGrid",
     "SociabilityProfile",
     "degree_order",
@@ -54,6 +58,10 @@ CSV_COLUMNS = [
 _INT_COLUMNS = {"k", "degree_at_k", "sum_di", "sum_do", "internal_edges",
                 "components", "lcc_size", "internal_arcs",
                 "reciprocal_arcs"}
+_ARC_COLUMNS = ("internal_arcs", "reciprocal_arcs", "sym_ratio")
+_ARC_AT = CSV_COLUMNS.index("internal_arcs")
+_NULLABLE = {"c2", "coverage", "sym_ratio"}  # empty in some rows
+_CSV_CHUNK = 1 << 16  # rows formatted or parsed at once
 
 
 @dataclass(frozen=True)
@@ -106,25 +114,76 @@ class SweepRow:
     sym_ratio: float | None = None
 
 
-def _assemble_row(k, n, m, degree_at_k, internal, cut, components, lcc,
-                  covered_outside, directed, arcs=None, recip=None):
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """Sweep rows as columns, one entry per club size, ascending in k.
+
+    One array per :data:`CSV_COLUMNS` name, with the same meaning as the
+    :class:`SweepRow` field: int64 for counts, float64 for ratios, NaN
+    where a row holds None.  The arc columns are None for undirected
+    input.  ``len(table)`` counts the rows, ``table[i]`` is row i as a
+    :class:`SweepRow` (None in place of NaN), and iterating gives the
+    rows in order.
+    """
+
+    k: np.ndarray
+    degree_at_k: np.ndarray
+    sum_di: np.ndarray
+    sum_do: np.ndarray
+    internal_edges: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    c3: np.ndarray
+    sociability_raw: np.ndarray
+    components: np.ndarray
+    lcc_size: np.ndarray
+    coverage: np.ndarray
+    internal_arcs: np.ndarray | None = None
+    reciprocal_arcs: np.ndarray | None = None
+    sym_ratio: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, i: int) -> SweepRow:
+        values = [None if col is None else col[i].item()
+                  for col in map(self.__getattribute__, CSV_COLUMNS)]
+        return SweepRow(*(None if v != v else v for v in values))  # NaN: null
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[SweepRow]) -> SweepTable:
+        """The table of ``rows``, such as rows of :func:`metrics_at_k`."""
+        directed = bool(rows) and rows[0].internal_arcs is not None
+        return cls(**{
+            name: np.array([getattr(r, name) for r in rows],
+                           dtype=_dtype(name))  # None becomes NaN
+            for name in CSV_COLUMNS
+            if directed or name not in _ARC_COLUMNS})
+
+
+def _dtype(name: str):
+    return np.int64 if name in _INT_COLUMNS else np.float64
+
+
+def _table(n, m, k, degree_at_k, internal, cut, components, lcc,
+           covered_outside, arcs=None, recip=None) -> SweepTable:
+    """The rows at club sizes ``k`` from their counts, all int64 arrays
+    aligned with ``k``; ``arcs`` and ``recip`` are None for undirected
+    input.  ``m`` is the projection's edge count."""
     sum_di = 2 * internal
-    c1 = cut / m if m else 0.0
-    # the stability ratio is vacuous at k=1 (no internal edge possible)
-    # and undefined without boundary edges
-    c2 = sum_di / cut if (cut and k >= 2) else None
-    c3 = sum_di / (k * (k - 1) / 2) if k >= 2 else 0.0
-    coverage = covered_outside / (n - k) if k < n else None
-    sym = None
-    if directed and arcs:
-        sym = recip / arcs
-    return SweepRow(
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the stability ratio is vacuous at k=1 (no internal edge
+        # possible) and undefined without boundary edges
+        c2 = np.where((cut > 0) & (k >= 2), sum_di / cut, np.nan)
+        c3 = np.where(k >= 2, sum_di / (k * (k - 1) / 2), 0.0)
+        coverage = np.where(k < n, covered_outside / (n - k), np.nan)
+        sym = None if arcs is None else np.where(arcs > 0, recip / arcs,
+                                                 np.nan)
+    return SweepTable(
         k=k, degree_at_k=degree_at_k, sum_di=sum_di, sum_do=cut,
-        internal_edges=internal, c1=c1, c2=c2, c3=c3,
+        internal_edges=internal, c1=cut / max(m, 1), c2=c2, c3=c3,
         sociability_raw=internal / k, components=components, lcc_size=lcc,
-        coverage=coverage,
-        internal_arcs=arcs if directed else None,
-        reciprocal_arcs=recip if directed else None,
+        coverage=coverage, internal_arcs=arcs, reciprocal_arcs=recip,
         sym_ratio=sym)
 
 
@@ -190,10 +249,11 @@ def metrics_at_k(g: Graph, order: DegreeOrder, k: int) -> SweepRow:
                     if g.has_edge(u, v):
                         recip += 1
 
-    return _assemble_row(k, g.n, und.m,
-                         int(order.degree_at_rank[k - 1]),
-                         internal, cut, components, lcc, covered_outside,
-                         g.directed, arcs, recip)
+    counts = [k, order.degree_at_rank[k - 1], internal, cut, components,
+              lcc, covered_outside]
+    if g.directed:
+        counts += [arcs, recip]
+    return _table(g.n, und.m, *(np.array([c], np.int64) for c in counts))[0]
 
 
 @dataclass(frozen=True)
@@ -336,8 +396,8 @@ def _component_columns(eu: np.ndarray, ev: np.ndarray, n: int):
     return components, lcc_after[forest_below]
 
 
-def run_sweep(g: Graph, grid: KGrid | None = None) -> list[SweepRow]:
-    """Sweep the club size over ``grid``, one row per grid point.
+def run_sweep(g: Graph, grid: KGrid | None = None) -> SweepTable:
+    """Sweep the club size over ``grid``, one table row per grid point.
 
     Every column is computed once for all k = 0..n as a prefix array,
     in time near-linear in the edges; the grid then only selects rows,
@@ -366,21 +426,15 @@ def run_sweep(g: Graph, grid: KGrid | None = None) -> list[SweepRow]:
     covered = (_count_below(minr, n)
                - _count_below(np.maximum(np.arange(n), minr), n))
 
+    counts = [internal, cut, components, lcc, covered]
     if g.directed:
         src, dst = g.edge_arrays()
         arcs = _count_below(np.maximum(order.rank_of_node[src],
                                        order.rank_of_node[dst]), n)
         # a club pair holds one arc, or two reciprocated ones
-        recip = 2 * (arcs - internal)
-    else:
-        arcs = recip = np.zeros(n + 1, dtype=np.int64)  # not reported
-
-    columns = (order.degree_at_rank[ks - 1], internal[ks], cut[ks],
-               components[ks], lcc[ks], covered[ks], arcs[ks], recip[ks])
-    return [_assemble_row(k, n, m, deg, e, c, comp, big, cov, g.directed,
-                          a, r)
-            for k, deg, e, c, comp, big, cov, a, r
-            in zip(ks.tolist(), *(col.tolist() for col in columns))]
+        counts += [arcs, 2 * (arcs - internal)]
+    return _table(n, m, ks, order.degree_at_rank[ks - 1],
+                  *(col[ks] for col in counts))
 
 
 class SociabilityProfile(NamedTuple):
@@ -389,48 +443,96 @@ class SociabilityProfile(NamedTuple):
     max_raw: float
 
 
-def sociability_profile(rows: Sequence[SweepRow]) -> SociabilityProfile:
+def sociability_profile(rows: SweepTable) -> SociabilityProfile:
     """Normalize internal-edges-per-member by its maximum over the grid.
 
     Returns the normalized profile plus the (first) club size where the
     raw value peaks.  Raises on an all-zero profile, which happens only
     for graphs whose clubs never contain an edge.
     """
-    if not rows:
+    if not len(rows):
         raise ValueError("no sweep rows")
-    max_raw = max(r.sociability_raw for r in rows)
+    at = int(np.argmax(rows.sociability_raw))
+    max_raw = float(rows.sociability_raw[at])
     if max_raw <= 0:
         raise ValueError(
             "degenerate sociability profile: no club has internal edges")
-    argmax_k = next(r.k for r in rows if r.sociability_raw == max_raw)
-    points = [(r.k, r.sociability_raw / max_raw) for r in rows]
-    return SociabilityProfile(points, argmax_k, max_raw)
+    points = list(zip(rows.k.tolist(),
+                      (rows.sociability_raw / max_raw).tolist()))
+    return SociabilityProfile(points, int(rows.k[at]), max_raw)
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+def _format_column(col: np.ndarray) -> list[str]:
+    if col.dtype.kind != "f":
+        return list(map(str, col.tolist()))
+    text = list(map("{:.6g}".format, col.tolist()))
+    for i in np.flatnonzero(np.isnan(col)).tolist():
+        text[i] = ""
+    return text
 
 
-def write_rows_csv(rows: Sequence[SweepRow], out: IO[str] | str) -> None:
-    """Write sweep rows as CSV; empty fields stand for null values."""
+def write_rows_csv(rows: SweepTable | Sequence[SweepRow],
+                   out: IO[str] | str) -> None:
+    """Write a sweep table, or a list of rows, as CSV; empty fields
+    stand for null values and floats keep six significant digits."""
     if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
         with open(out, "wt", encoding="utf-8") as fh:
             write_rows_csv(rows, fh)
             return
+    if not isinstance(rows, SweepTable):
+        rows = SweepTable.from_rows(rows)
     out.write(",".join(CSV_COLUMNS) + "\n")
-    for r in rows:
-        out.write(",".join(_format_value(getattr(r, c))
-                           for c in CSV_COLUMNS) + "\n")
+    for lo in range(0, len(rows), _CSV_CHUNK):
+        part = slice(lo, lo + _CSV_CHUNK)
+        fields = [[""] * len(rows.k[part]) if col is None
+                  else _format_column(col[part])
+                  for col in map(rows.__getattribute__, CSV_COLUMNS)]
+        out.writelines(",".join(line) + "\n" for line in zip(*fields))
 
 
-def read_rows_csv(src) -> list[SweepRow]:
-    """Read rows written by :func:`write_rows_csv`.
+def _parse_int(text: str) -> int | None:
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if -2 ** 63 <= value < 2 ** 63 else None
 
-    ``src`` is a path, or an open file / iterable of lines.
+
+def _parse_float(text: str) -> float | None:
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return None if value != value else value  # NaN would read as null
+
+
+def _read_column(name: str, texts: list[str], directed: bool):
+    """One CSV column as an array (None for the arc columns of
+    undirected input), plus the index of its first bad field, or
+    ``len(texts)`` when every field is good."""
+    if name in _ARC_COLUMNS and not directed:
+        return None, next((i for i, t in enumerate(texts) if t), len(texts))
+    values = list(map(_parse_int if name in _INT_COLUMNS else _parse_float,
+                      texts))
+    if None in values:  # an empty field, or a bad one
+        nullable = name in _NULLABLE
+        bad = next((i for i, v in enumerate(values)
+                    if v is None and (texts[i] or not nullable)), len(texts))
+        if bad < len(texts):
+            return None, bad
+    return np.array(values, dtype=_dtype(name)), len(texts)
+
+
+def read_rows_csv(src) -> SweepTable:
+    """Read a table written by :func:`write_rows_csv`.
+
+    ``src`` is a path, or an open file / iterable of lines.  Blank lines
+    are skipped.  Only ``c2``, ``coverage`` and the arc columns may hold
+    empty fields, and the first row decides whether the arc counts are
+    present in every row or empty in every row.  Raises ValueError
+    naming the first bad line: a wrong field count, or a field that is
+    not a number of its column's type (NaN and integers beyond int64
+    included).
     """
     if isinstance(src, (str, bytes)) or hasattr(src, "__fspath__"):
         with open(src, "rt", encoding="utf-8") as fh:
@@ -439,26 +541,30 @@ def read_rows_csv(src) -> list[SweepRow]:
     header = next(lines, "").strip()
     if header.split(",") != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header: {header!r}")
-    rows = []
-    for lineno, line in enumerate(lines, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != len(CSV_COLUMNS):
-            raise ValueError(f"line {lineno}: expected {len(CSV_COLUMNS)} "
-                             f"fields, got {len(fields)}")
-        values = {}
-        try:
-            for name, field in zip(CSV_COLUMNS, fields):
-                if field == "":
-                    values[name] = None
-                elif name in _INT_COLUMNS:
-                    values[name] = int(field)
-                else:
-                    values[name] = float(field)
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad {name} value "
-                             f"{field!r}") from None
-        rows.append(SweepRow(**values))
-    return rows
+    lines = [line.strip() for line in lines]
+    rows = [line for line in lines if line]
+    lineno = np.flatnonzero(list(map(bool, lines))) + 2  # of each row
+    width = len(CSV_COLUMNS)
+    # rows before the first one with a wrong field count are parsed,
+    # a chunk at a time: column j is every width-th field from j
+    good = next((i for i, row in enumerate(rows)
+                 if row.count(",") != width - 1), len(rows))
+    directed = good > 0 and rows[0].split(",")[_ARC_AT] != ""
+    chunks = []
+    for lo in range(0, good, _CSV_CHUNK):
+        fields = ",".join(rows[lo:min(lo + _CSV_CHUNK, good)]).split(",")
+        chunk = [_read_column(name, fields[j::width], directed)
+                 for j, name in enumerate(CSV_COLUMNS)]
+        bad, j = min((b, j) for j, (_, b) in enumerate(chunk))
+        if bad < len(fields) // width:
+            raise ValueError(f"line {lineno[lo + bad]}: bad {CSV_COLUMNS[j]} "
+                             f"value {fields[bad * width + j]!r}")
+        chunks.append([values for values, _ in chunk])
+    if good < len(rows):
+        raise ValueError(f"line {lineno[good]}: expected {width} fields, "
+                         f"got {rows[good].count(',') + 1}")
+    return SweepTable(**{
+        name: np.concatenate([np.empty(0, _dtype(name)),
+                              *(chunk[j] for chunk in chunks)])
+        for j, name in enumerate(CSV_COLUMNS)
+        if directed or name not in _ARC_COLUMNS})

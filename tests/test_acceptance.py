@@ -28,7 +28,6 @@ from richclub import (
     Graph,
     KGrid,
     degree_order,
-    estimate_er_density,
     evaluate_axioms,
     generate_affiliation,
     generate_ba,
@@ -37,10 +36,10 @@ from richclub import (
     parse_edge_list,
     run_sweep,
     underlying_undirected,
-    verify_ba_bound,
 )
 
 from conftest import random_graph
+from model_checks import estimate_er_density, verify_ba_bound
 
 
 def criterion(num, name, ok, detail=""):

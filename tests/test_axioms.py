@@ -11,17 +11,16 @@ from richclub import (
     KGrid,
     VerificationError,
     degree_order,
-    estimate_er_density,
     evaluate_axioms,
     generate_ba,
     generate_er,
     internal_edges_by_k,
     minimal_elite,
     run_sweep,
-    verify_ba_bound,
 )
 
 from conftest import random_graph
+from model_checks import estimate_er_density, verify_ba_bound
 
 
 def complete_graph(n):
@@ -37,9 +36,6 @@ def test_thresholds_validation():
     with pytest.raises(ValueError):
         AxiomThresholds(c3_min=2.0)
     AxiomThresholds(c3_min=1.5)  # density ratio may exceed 1
-    with pytest.raises(ValueError):
-        AxiomThresholds(check_influence=False, check_stability=False,
-                        check_density=False)
 
 
 def test_k4_passes_moderate_thresholds():

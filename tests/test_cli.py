@@ -320,6 +320,10 @@ def test_report_rejects_mismatched_graphs(tmp_path, capsys):
     (lambda f: f[:4], "expected 15 fields, got 4"),
     (lambda f: f + ["1"], "expected 15 fields, got 16"),
     (lambda f: f[:1] + ["x"] + f[2:], "bad degree_at_k value 'x'"),
+    # only c2, coverage and the arc columns may be empty
+    (lambda f: [""] + f[1:], "bad k value ''"),
+    (lambda f: f[:5] + [""] + f[6:], "bad c1 value ''"),
+    (lambda f: f[:8] + [""] + f[9:], "bad sociability_raw value ''"),
 ])
 def test_report_rejects_malformed_row(tmp_path, capsys, edit, message):
     csv = make_sweep_csv(tmp_path)

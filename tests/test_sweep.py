@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from richclub import (
+    CSV_COLUMNS,
     Graph,
     GeneratorConfig,
     KGrid,
+    SweepTable,
     degree_order,
     generate_ba,
     metrics_at_k,
@@ -177,7 +179,7 @@ def test_conservation(rng):
 
 def test_monotone_accumulators(rng):
     g = random_graph(rng, n_max=100, directed=False)
-    rows = run_sweep(g, KGrid(kind="full"))
+    rows = list(run_sweep(g, KGrid(kind="full")))
     for a, b in zip(rows, rows[1:]):
         assert b.sum_di >= a.sum_di
         assert b.internal_edges >= a.internal_edges
@@ -187,7 +189,7 @@ def test_monotone_accumulators(rng):
 
 def test_coverage_bound(rng):
     g = random_graph(rng, n_max=100, directed=False)
-    rows = run_sweep(g, KGrid(kind="full"))
+    rows = list(run_sweep(g, KGrid(kind="full")))
     for r in rows[:-1]:
         assert r.coverage <= min(1.0, r.sum_do / (g.n - r.k)) + 1e-12
 
@@ -227,6 +229,19 @@ def test_grid_kinds():
         KGrid(kind="root", points=0).k_values(10, 5)
     with pytest.raises(ValueError):
         KGrid(kind="banana").k_values(10, 5)
+
+
+def test_sweep_table_columns_round_trip_through_rows(rng):
+    for directed in (False, True):
+        g = random_graph(rng, n_max=60, directed=directed)
+        table = run_sweep(g, KGrid(kind="full"))
+        rows = list(table)
+        assert rows[0].c2 is None and np.isnan(table.c2[0])  # k = 1
+        assert (table.internal_arcs is None) == (not directed)
+        again = SweepTable.from_rows(rows)
+        for name in CSV_COLUMNS:
+            np.testing.assert_array_equal(getattr(again, name),
+                                          getattr(table, name))
 
 
 def test_run_sweep_full_grid_counts_rows(rng):
