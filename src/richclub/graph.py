@@ -195,6 +195,16 @@ def parse_edge_list(source, directed=False) -> Graph:
     mentioned only on dropped self-loop or duplicate lines still
     count); the original ids are kept on ``graph.original_ids``.
 
+    With N ids in the input, they count as dense when the largest is
+    below 2N, as in every file :func:`write_edge_list` writes: each
+    id's first position is then found by indexing an array over the id
+    values, and only the n distinct ids are sorted.  Sparse ids take
+    one stable sort of all N.  A path is read whole and tokenized into
+    one preallocated buffer of two ids per line, and its bytes are
+    released before the compaction.  Peak memory is then about 3.5
+    int64 arrays of length N with dense ids (4.6 times the size of a
+    BA edge list this package wrote), and about 5.5 with sparse ones.
+
     Raises :class:`EdgeListError` with the offending line number for
     malformed lines, and for entirely empty input.
     """
@@ -205,9 +215,11 @@ def parse_edge_list(source, directed=False) -> Graph:
         if ids is None:
             ids = _read_ids(
                 io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        del data
     else:
         ids = _read_ids(source)
     original, codes = _first_appearance(ids)
+    del ids
     return Graph.from_edges(len(original), codes[0::2], codes[1::2],
                             directed=directed, original_ids=original)
 
@@ -228,8 +240,10 @@ def _scan_ids(data: bytes):
         except UnicodeDecodeError:
             return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    parts = []
-    lo = 0
+    # an accepted line holds two ids, and lines end at a newline or at
+    # the end of the data (a lone \r is rejected)
+    out = np.empty(2 * (data.count(b"\n") + 1), dtype=np.uint64)
+    count = lo = 0
     while lo < len(data):
         # chunks of whole lines keep the temporaries small
         hi = data.rfind(b"\n", lo, lo + _SCAN_CHUNK) + 1
@@ -240,12 +254,11 @@ def _scan_ids(data: bytes):
         ids = _scan_chunk(buf[lo:hi])
         if ids is None:
             return None
-        parts.append(ids)
+        out[count:count + len(ids)] = ids
+        count += len(ids)
         lo = hi
-    if not parts:
-        return None
-    ids = np.concatenate(parts)
-    if not len(ids) or ids.max() > np.uint64(_INT64_MAX):
+    ids = out[:count]
+    if not count or ids.max() > np.uint64(_INT64_MAX):
         return None
     return ids.view(np.int64)
 
@@ -336,6 +349,15 @@ def _read_ids(lines) -> np.ndarray:
 def _first_appearance(ids: np.ndarray):
     """``(original, codes)``: the distinct ``ids`` in order of first
     appearance, and each id's index in that list."""
+    top = int(ids.max())
+    if top < 2 * len(ids):  # dense: index by value
+        first = np.full(top + 1, len(ids), dtype=np.int64)
+        # exact in any write order, unlike a repeated-index assignment
+        np.minimum.at(first, ids, np.arange(len(ids)))
+        present = np.flatnonzero(first < len(ids))
+        original = present[np.argsort(first[present])].astype(np.int64)
+        first[original] = np.arange(len(original))  # now value -> code
+        return original, first[ids]
     order = np.argsort(ids, kind="stable")
     new = np.empty(len(ids), dtype=bool)  # first of its value in order
     new[0] = True

@@ -512,6 +512,16 @@ def _read_column(name: str, texts: list[str], directed: bool):
     ``len(texts)`` when every field is good."""
     if name in _ARC_COLUMNS and not directed:
         return None, next((i for i, t in enumerate(texts) if t), len(texts))
+    # builtin parsers first; a column they reject (an empty or bad
+    # field, beyond int64, NaN) is parsed again field by field below
+    try:
+        values = np.array(list(map(int if name in _INT_COLUMNS else float,
+                                   texts)), dtype=_dtype(name))
+    except (ValueError, OverflowError):
+        pass
+    else:
+        if values.dtype.kind != "f" or not np.isnan(values).any():
+            return values, len(texts)
     values = list(map(_parse_int if name in _INT_COLUMNS else _parse_float,
                       texts))
     if None in values:  # an empty field, or a bad one

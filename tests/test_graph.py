@@ -1,13 +1,16 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from richclub import (
     EdgeListError,
+    GeneratorConfig,
     Graph,
     floor_sqrt_edges,
+    generate_ba,
     parse_edge_list,
     underlying_undirected,
     write_edge_list,
@@ -94,6 +97,22 @@ def test_parse_empty_input_is_an_error():
         parse_edge_list([])
     with pytest.raises(EdgeListError, match="empty"):
         parse_edge_list(["# only a comment"])
+
+
+def test_parse_peak_memory_is_bounded_by_file_size(tmp_path):
+    # numpy reports its buffers to tracemalloc, so the traced peak
+    # covers the file bytes, the id buffer and the compaction arrays
+    path = tmp_path / "ba.txt"
+    write_edge_list(generate_ba(GeneratorConfig.ba(200_000, 10, 3)), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.m) == (200_000, 200_000 * 10 - 55)
+    assert peak <= 6 * size, f"peak {peak / size:.2f} x the file size"
 
 
 def test_degree_sums(rng):

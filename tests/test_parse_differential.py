@@ -2,6 +2,7 @@
 
 * The vectorized edge-list tokenizer against the line loop: on every
   input both give the same graph, or the same error line.
+* The id compaction against a dict, on both sides of its dense rule.
 * ``Graph.from_edges`` against the hash-set reference ``NaiveGraph``.
 
 hypothesis is a test-only dependency; without it the module is skipped.
@@ -19,7 +20,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from richclub import EdgeListError, Graph, parse_edge_list  # noqa: E402
 from richclub import graph  # noqa: E402
-from richclub.graph import _read_ids, _scan_ids  # noqa: E402
+from richclub.graph import _first_appearance, _read_ids, \
+    _scan_ids  # noqa: E402
 
 from conftest import NaiveGraph  # noqa: E402
 
@@ -86,6 +88,15 @@ ANY_FILE = st.one_of(
 CHUNK = st.sampled_from([graph._SCAN_CHUNK, 1, 2, 7, 30])
 
 
+def dict_compaction(ids):
+    """``(original, codes)`` of ``ids`` in first-appearance order."""
+    code = {}
+    for v in ids.tolist():
+        code.setdefault(v, len(code))
+    return (np.array(list(code), dtype=np.int64),
+            np.array([code[v] for v in ids.tolist()], dtype=np.int64))
+
+
 def loop_graph(data, directed):
     """The line loop's reading of ``data``, compacted through a dict."""
     try:
@@ -94,12 +105,8 @@ def loop_graph(data, directed):
         return ("error", exc.line)
     except UnicodeDecodeError:
         return ("decode error",)
-    code = {}
-    for v in ids.tolist():
-        code.setdefault(v, len(code))
-    codes = np.array([code[v] for v in ids.tolist()], dtype=np.int64)
-    original = np.array(list(code), dtype=np.int64)
-    return Graph.from_edges(len(code), codes[0::2], codes[1::2],
+    original, codes = dict_compaction(ids)
+    return Graph.from_edges(len(original), codes[0::2], codes[1::2],
                             directed=directed, original_ids=original)
 
 
@@ -143,6 +150,14 @@ def edges_path(tmp_path_factory):
 @example(data=b"0 1\n1\r2\n", directed=False, chunk=graph._SCAN_CHUNK)
 @example(data=b"0 1 # inline\n", directed=False, chunk=graph._SCAN_CHUNK)
 @example(data=b"900 1\n65536 300\n1 900\n", directed=False, chunk=7)
+# ids around the dense rule (largest id below twice the id count)
+@example(data=b"7 0\n1 1\n", directed=False, chunk=graph._SCAN_CHUNK)
+@example(data=b"8 0\n1 1\n", directed=True, chunk=graph._SCAN_CHUNK)
+@example(data=b"5 4\n3 2\n1 0\n", directed=False, chunk=graph._SCAN_CHUNK)
+@example(data=b"0 1\n9223372036854775807 2\n1 2\n", directed=False,
+         chunk=graph._SCAN_CHUNK)
+@example(data=b"6 6\n6 6\n", directed=False, chunk=graph._SCAN_CHUNK)
+@example(data=b"4 4\n", directed=True, chunk=graph._SCAN_CHUNK)
 def test_parse_matches_line_loop(edges_path, data, directed, chunk):
     want = loop_graph(data, directed)
     with mock.patch.object(graph, "_SCAN_CHUNK", chunk):
@@ -162,6 +177,35 @@ def test_clean_input_takes_fast_path(data, chunk):
         return  # no edge line: the empty-input error
     with mock.patch.object(graph, "_SCAN_CHUNK", chunk):
         assert _scan_ids(data) is not None
+
+
+@st.composite
+def id_arrays(draw):
+    """N ids whose largest is 2N - 1 (dense), 2N (sparse) or huge,
+    drawn in any order, in descending order, or all equal."""
+    n = draw(st.integers(1, 30))
+    top = draw(st.sampled_from([2 * n - 1, 2 * n, 10 ** 12, 2 ** 63 - 1]))
+    ids = draw(st.lists(st.integers(0, min(top, 2 * n)),
+                        min_size=n, max_size=n))
+    ids[draw(st.integers(0, n - 1))] = top
+    order = draw(st.sampled_from(["drawn", "descending", "equal"]))
+    if order == "descending":
+        ids.sort(reverse=True)
+    elif order == "equal":
+        ids = [top] * n
+    return np.array(ids, dtype=np.int64)
+
+
+@SETTINGS
+@given(ids=id_arrays())
+@example(ids=np.array([3, 0, 1, 1], dtype=np.int64))
+@example(ids=np.array([4, 0, 1, 1], dtype=np.int64))
+def test_first_appearance_matches_dict(ids):
+    original, codes = _first_appearance(ids)
+    want_original, want_codes = dict_compaction(ids)
+    assert original.dtype == codes.dtype == np.int64
+    assert original.tolist() == want_original.tolist()
+    assert codes.tolist() == want_codes.tolist()
 
 
 @st.composite
