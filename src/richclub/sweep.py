@@ -81,7 +81,7 @@ class DegreeOrder:
 def degree_order(g: Graph) -> DegreeOrder:
     """Deterministic degree ranking (total degree when directed)."""
     deg = g.degrees.astype(np.int64)
-    node_at_rank = np.lexsort((np.arange(g.n), -deg)).astype(np.int64)
+    node_at_rank = np.argsort(-deg, kind="stable").astype(np.int64)
     rank_of_node = np.empty(g.n, dtype=np.int64)
     rank_of_node[node_at_rank] = np.arange(g.n)
     return DegreeOrder(node_at_rank, rank_of_node, deg[node_at_rank])
@@ -292,12 +292,10 @@ class KGrid:
 
 def _edge_rank_pairs(und: Graph, order: DegreeOrder):
     """Per-edge endpoint ranks ``(lo, hi)`` with lo < hi, one per edge."""
-    indptr, indices = und.csr()
-    rows = np.repeat(np.arange(und.n, dtype=np.int64), np.diff(indptr))
-    ru = order.rank_of_node[rows]
-    rv = order.rank_of_node[indices]
-    keep = ru < rv
-    return ru[keep], rv[keep]
+    src, dst = und.edge_arrays()
+    ru = order.rank_of_node[src]
+    rv = order.rank_of_node[dst]
+    return np.minimum(ru, rv), np.maximum(ru, rv)
 
 
 def _count_below(keys: np.ndarray, n: int) -> np.ndarray:
@@ -511,7 +509,9 @@ def _read_column(name: str, texts: list[str], directed: bool):
     undirected input), plus the index of its first bad field, or
     ``len(texts)`` when every field is good."""
     if name in _ARC_COLUMNS and not directed:
-        return None, next((i for i, t in enumerate(texts) if t), len(texts))
+        if texts.count("") == len(texts):
+            return None, len(texts)
+        return None, next(i for i, t in enumerate(texts) if t)
     # builtin parsers first; a column they reject (an empty or bad
     # field, beyond int64, NaN) is parsed again field by field below
     try:

@@ -102,17 +102,22 @@ def test_parse_empty_input_is_an_error():
 def test_parse_peak_memory_is_bounded_by_file_size(tmp_path):
     # numpy reports its buffers to tracemalloc, so the traced peak
     # covers the file bytes, the id buffer and the compaction arrays
-    path = tmp_path / "ba.txt"
-    write_edge_list(generate_ba(GeneratorConfig.ba(200_000, 10, 3)), path)
-    size = path.stat().st_size
-    tracemalloc.start()
-    try:
-        g = parse_edge_list(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (g.n, g.m) == (200_000, 200_000 * 10 - 55)
-    assert peak <= 6 * size, f"peak {peak / size:.2f} x the file size"
+    ba = generate_ba(GeneratorConfig.ba(200_000, 10, 3))
+    # the same graph with distinct ids below 10^12 takes the sparse path
+    labels = np.random.default_rng(3).choice(10 ** 12, ba.n, replace=False)
+    sparse = Graph.from_edges(ba.n, *ba.edge_arrays(), original_ids=labels)
+    for name, graph in [("dense", ba), ("sparse", sparse)]:
+        path = tmp_path / f"{name}.txt"
+        write_edge_list(graph, path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.m) == (200_000, 200_000 * 10 - 55)
+        assert peak <= 6 * size, f"{name}: peak {peak / size:.2f} x the file"
 
 
 def test_degree_sums(rng):
