@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import array
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO
 
 import numpy as np
 
-from .graph import NODE_LIMIT, Graph
+from .graph import _WRITE_CHUNK, NODE_LIMIT, Graph, _format_lines
 
 __all__ = [
     "GeneratorConfig",
@@ -99,11 +101,13 @@ class GeneratorConfig:
 
 @dataclass
 class BipartiteAffiliation:
-    """Actor-society bipartite graph: ``edges`` holds (actor, society)."""
+    """Actor-society bipartite graph: ``edges`` is an ``(m, 2)`` array of
+    (actor, society) rows, sorted."""
 
     actor_count: int
     society_count: int
-    edges: list[tuple[int, int]] = field(default_factory=list)
+    edges: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 2), dtype=np.int32))
 
 
 def generate(cfg: GeneratorConfig):
@@ -293,36 +297,10 @@ def _fix_duplicates(pool, draws, n, mp, rng):
                     heapq.heappush(queue, w)
 
 
-class _FoldedAccumulator:
-    """Incrementally folded actor graph plus its degree-draw pool.
-
-    Endpoints live in compact typed arrays; only the dedupe key set
-    pays per-entry object overhead.
-    """
-
-    def __init__(self):
-        self.seen: set[int] = set()       # canonical pair keys
-        self.src = array.array("i")
-        self.dst = array.array("i")
-        self.pool = array.array("i")      # both endpoints of every edge
-
-    def add(self, a, b):
-        if a == b:
-            return False
-        lo, hi = (a, b) if a < b else (b, a)
-        key = lo * 2_000_000_000 + hi
-        if key in self.seen:
-            return False
-        self.seen.add(key)
-        self.src.append(lo)
-        self.dst.append(hi)
-        self.pool.append(a)
-        self.pool.append(b)
-        return True
-
-    def has(self, a, b):
-        lo, hi = (a, b) if a < b else (b, a)
-        return lo * 2_000_000_000 + hi in self.seen
+def _uniforms(rng, block=1 << 12):
+    """``rng.random()`` one at a time, drawn in blocks (the same doubles)."""
+    while True:
+        yield from rng.random(block).tolist()
 
 
 def generate_affiliation(cfg: GeneratorConfig):
@@ -342,73 +320,122 @@ def generate_affiliation(cfg: GeneratorConfig):
     exactly the folding of the returned bipartite graph.  Helper
     societies are invisible to copying.
 
+    The degree-proportional draws pick a uniform slot of the folded
+    graph's endpoint pool: pair ``i``, in order of first appearance,
+    fills slot ``2i`` with the actor whose join created it and slot
+    ``2i + 1`` with the other member.  That pool is never built.  Each
+    join that creates pairs leaves one record (the joining actor, the
+    index of its first new pair, and the other members: a prefix of
+    the society's member list, or the list of those it did not already
+    know), so a slot resolves by bisection over the record starts.  A
+    join's repeated pairs are found without a set of pair keys: a new
+    actor keeps the set of its neighbours, and two recruits of a new
+    society are already linked iff they share a society.  The fold is
+    built once at the end from the records.  The draws, and their
+    order, are those of a per-pair loop: scalar draws that are certain
+    to happen are only fetched in blocks.
+
     Returns ``(bipartite, folded_graph)``.
     """
     cfg.validate()
     ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    rng_evo = np.random.default_rng(ss[0])
+    coins = _uniforms(np.random.default_rng(ss[0]))
     rng_copy = np.random.default_rng(ss[1])
     rng_pa = np.random.default_rng(ss[2])
+    cap = 50 * (cfg.s + 1)  # attachment draws per new actor
 
-    # copyable (non-helper) memberships per actor; helper memberships
-    # are recorded separately and only surface in the bipartite output
-    actor_societies: list[list[int]] = [[0, 1], [0, 1]]
-    helper_memberships: list[tuple[int, int]] = []
+    # every society of each actor, helper societies included
+    societies: list[set[int]] = [{0, 1}, {0, 1}]
     society_members: list[list[int]] = [[0, 1], [0, 1]]
-    edge_actor = array.array("i", [0, 0, 1, 1])    # real edges, flat
+    edge_actor = array.array("i", [0, 0, 1, 1])    # copyable memberships
     edge_society = array.array("i", [0, 1, 0, 1])
-    folded = _FoldedAccumulator()
-    folded.add(0, 1)
+    helper_actor = array.array("i")
+    helper_society = array.array("i")
+    # one record per pair-creating join; the seed's pair is (0, 1)
+    starts, joiners, others = [0], [0], [[1]]
+    distinct = 1  # folded pairs so far
 
-    def join(actor, society, helper=False):
-        for other in society_members[society]:
-            folded.add(actor, other)
-        society_members[society].append(actor)
-        if helper:
-            helper_memberships.append((actor, society))
-        else:
-            actor_societies[actor].append(society)
-            edge_actor.append(actor)
-            edge_society.append(society)
-
-    while len(actor_societies) < cfg.actors:
-        if rng_evo.random() < cfg.beta:
-            q = len(actor_societies)
-            actor_societies.append([])
-            mine = actor_societies[q]
+    while len(societies) < cfg.actors:
+        if next(coins) < cfg.beta:
+            q = len(societies)
+            mine: set[int] = set()
+            societies.append(mine)
+            nbrs: set[int] = set()
             for _ in range(cfg.cq):
                 u = edge_society[int(rng_copy.integers(0, len(edge_society)))]
-                if u not in mine:
-                    join(q, u)
+                if u in mine:
+                    continue
+                members = society_members[u]
+                new = members
+                if not nbrs.isdisjoint(members):
+                    new = [b for b in members if b not in nbrs]
+                if new:
+                    starts.append(distinct)
+                    joiners.append(q)
+                    others.append(new)
+                    distinct += len(new)
+                nbrs.update(members)
+                members.append(q)
+                mine.add(u)
+                edge_actor.append(q)
+                edge_society.append(u)
             targets: set[int] = set()
             attempts = 0
-            while len(targets) < cfg.s and attempts < 50 * (cfg.s + 1):
-                attempts += 1
-                t = folded.pool[int(rng_pa.integers(0, len(folded.pool)))]
-                if t != q and t not in targets and not folded.has(q, t):
-                    targets.add(t)
+            while len(targets) < cfg.s and attempts < cap:
+                k = min(cfg.s - len(targets), cap - attempts)
+                attempts += k
+                for slot in rng_pa.integers(0, 2 * distinct, size=k).tolist():
+                    i = slot >> 1
+                    r = bisect_right(starts, i) - 1
+                    t = others[r][i - starts[r]] if slot & 1 else joiners[r]
+                    if t != q and t not in targets and t not in nbrs:
+                        targets.add(t)
             for t in sorted(targets):
-                society_members.append([])
-                sid = len(society_members) - 1
-                join(t, sid, helper=True)
-                join(q, sid, helper=True)
+                sid = len(society_members)
+                society_members.append([t, q])
+                societies[t].add(sid)
+                mine.add(sid)
+                helper_actor.extend((t, q))
+                helper_society.extend((sid, sid))
+                starts.append(distinct)
+                joiners.append(q)
+                others.append(society_members[sid])
+                distinct += 1
         else:
-            society_members.append([])
-            sid = len(society_members) - 1
-            mine = society_members[sid]
+            sid = len(society_members)
+            recruits: list[int] = []
+            society_members.append(recruits)
             for _ in range(cfg.cu):
                 a = edge_actor[int(rng_copy.integers(0, len(edge_actor)))]
-                if a not in mine:
-                    join(a, sid)
+                if a in recruits:
+                    continue
+                known = societies[a]
+                new = [b for b in recruits if known.isdisjoint(societies[b])]
+                if new:
+                    starts.append(distinct)
+                    joiners.append(a)
+                    others.append(new)
+                    distinct += len(new)
+                recruits.append(a)
+                known.add(sid)
+                edge_actor.append(a)
+                edge_society.append(sid)
 
-    n_actors = len(actor_societies)
-    edges = [(a, u) for a in range(n_actors) for u in actor_societies[a]]
-    edges += helper_memberships
-    edges.sort()
+    n_actors = len(societies)
+    actor = np.concatenate([edge_actor, helper_actor])
+    society = np.concatenate([edge_society, helper_society])
+    order = np.lexsort((society, actor))
+    edges = np.stack([actor[order], society[order]], axis=1)
     bip = BipartiteAffiliation(n_actors, len(society_members), edges)
-    g = Graph.from_edges(n_actors, np.array(folded.src, dtype=np.int64),
-                         np.array(folded.dst, dtype=np.int64),
-                         directed=False)
+
+    counts = np.diff(np.append(starts, distinct))
+    src = np.repeat(np.array(joiners, dtype=np.int64), counts)
+    dst = np.fromiter(
+        chain.from_iterable(
+            other[:c] for other, c in zip(others, counts.tolist())),
+        dtype=np.int64, count=distinct)
+    del starts, joiners, others
+    g = Graph.from_edges(n_actors, src, dst, directed=False)
     return bip, g
 
 
@@ -420,4 +447,6 @@ def write_bipartite(b: BipartiteAffiliation, out: IO[str] | str) -> None:
             return
     out.write(f"# bipartite actors={b.actor_count} "
               f"societies={b.society_count}\n")
-    out.writelines(f"{a}\t{u}\n" for a, u in b.edges)
+    for lo in range(0, len(b.edges), _WRITE_CHUNK):
+        chunk = b.edges[lo:lo + _WRITE_CHUNK]
+        out.write(_format_lines(chunk[:, 0], chunk[:, 1], sep="\t"))

@@ -96,8 +96,6 @@ class Graph:
 
         loops = src == dst
         loops_dropped = int(np.count_nonzero(loops))
-        src, dst = src[~loops], dst[~loops]
-
         if directed:
             keys = src * n
             keys += dst
@@ -106,6 +104,9 @@ class Graph:
             keys *= n
             keys += np.maximum(src, dst)
         del src, dst
+        if loops_dropped:
+            keys = keys[~loops]
+        del loops
         keys.sort()
         keep = np.empty(len(keys), dtype=bool)
         keep[:1] = True
@@ -375,8 +376,9 @@ def write_edge_list(g: Graph, out: IO[str] | str) -> None:
                                 label[dst[lo:lo + _WRITE_CHUNK]]))
 
 
-def _format_lines(a: np.ndarray, b: np.ndarray | None = None) -> str:
-    """``f"{a[i]} {b[i]}\\n"`` for every i, built as one ASCII buffer
+def _format_lines(a: np.ndarray, b: np.ndarray | None = None,
+                  sep: str = " ") -> str:
+    """``f"{a[i]}{sep}{b[i]}\\n"`` for every i, built as one ASCII buffer
     (``b`` defaults to ``a``)."""
     vals = np.empty(2 * len(a), dtype=np.int64)
     vals[0::2] = a
@@ -396,7 +398,7 @@ def _format_lines(a: np.ndarray, b: np.ndarray | None = None) -> str:
         rows[:, j] = mag - quotient * np.uint64(10)
         mag = quotient
     rows[:, 1:-1] += ord("0")
-    rows[0::2, -1] = ord(" ")
+    rows[0::2, -1] = ord(sep)
     rows[1::2, -1] = ord("\n")
     rows[neg, width - digits[neg]] = ord("-")
     keep = (np.arange(width + 2, dtype=np.int8)

@@ -1,16 +1,18 @@
 """Model-level verifiers the acceptance and axiom tests run on generated
 graphs: the Barabasi-Albert internal-edge bound and the Erdos-Renyi
-club density z-scores.  They read only ``internal_edges_by_k``.
+club density z-scores, which read only ``internal_edges_by_k``; and a
+naive per-pair affiliation generator, the oracle of the production one.
 """
 
+import array
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from richclub import DegreeOrder, Graph, VerificationError, \
-    internal_edges_by_k
+from richclub import BipartiteAffiliation, DegreeOrder, GeneratorConfig, \
+    Graph, VerificationError, internal_edges_by_k
 
 
 @dataclass
@@ -91,3 +93,112 @@ def estimate_er_density(g: Graph, order: DegreeOrder, p: float,
         rows.append({"k": k, "internal_edges": internal, "mean": mean,
                      "sigma": sigma, "z": z, "passed": ok})
     return ERDensityReport(rows=rows, passed=passed)
+
+
+class _FoldedAccumulator:
+    """Incrementally folded actor graph plus its degree-draw pool.
+
+    Endpoints live in compact typed arrays; only the dedupe key set
+    pays per-entry object overhead.
+    """
+
+    def __init__(self):
+        self.seen: set[int] = set()       # canonical pair keys
+        self.src = array.array("i")
+        self.dst = array.array("i")
+        self.pool = array.array("i")      # both endpoints of every edge
+
+    def add(self, a, b):
+        if a == b:
+            return False
+        lo, hi = (a, b) if a < b else (b, a)
+        key = lo * 2_000_000_000 + hi
+        if key in self.seen:
+            return False
+        self.seen.add(key)
+        self.src.append(lo)
+        self.dst.append(hi)
+        self.pool.append(a)
+        self.pool.append(b)
+        return True
+
+    def has(self, a, b):
+        lo, hi = (a, b) if a < b else (b, a)
+        return lo * 2_000_000_000 + hi in self.seen
+
+
+def reference_affiliation(cfg: GeneratorConfig):
+    """``generate_affiliation`` as a per-pair loop: ``(bipartite, graph)``.
+
+    Every join adds its folded pairs one at a time to a deduplicating
+    accumulator that keeps the endpoint pool as a flat array, and every
+    draw is a scalar call.  The production generator must consume the
+    same random numbers and return identical outputs.
+    """
+    cfg.validate()
+    ss = np.random.SeedSequence(cfg.seed).spawn(3)
+    rng_evo = np.random.default_rng(ss[0])
+    rng_copy = np.random.default_rng(ss[1])
+    rng_pa = np.random.default_rng(ss[2])
+
+    # copyable (non-helper) memberships per actor; helper memberships
+    # are recorded separately and only surface in the bipartite output
+    actor_societies: list[list[int]] = [[0, 1], [0, 1]]
+    helper_memberships: list[tuple[int, int]] = []
+    society_members: list[list[int]] = [[0, 1], [0, 1]]
+    edge_actor = array.array("i", [0, 0, 1, 1])    # real edges, flat
+    edge_society = array.array("i", [0, 1, 0, 1])
+    folded = _FoldedAccumulator()
+    folded.add(0, 1)
+
+    def join(actor, society, helper=False):
+        for other in society_members[society]:
+            folded.add(actor, other)
+        society_members[society].append(actor)
+        if helper:
+            helper_memberships.append((actor, society))
+        else:
+            actor_societies[actor].append(society)
+            edge_actor.append(actor)
+            edge_society.append(society)
+
+    while len(actor_societies) < cfg.actors:
+        if rng_evo.random() < cfg.beta:
+            q = len(actor_societies)
+            actor_societies.append([])
+            mine = actor_societies[q]
+            for _ in range(cfg.cq):
+                u = edge_society[int(rng_copy.integers(0, len(edge_society)))]
+                if u not in mine:
+                    join(q, u)
+            targets: set[int] = set()
+            attempts = 0
+            while len(targets) < cfg.s and attempts < 50 * (cfg.s + 1):
+                attempts += 1
+                t = folded.pool[int(rng_pa.integers(0, len(folded.pool)))]
+                if t != q and t not in targets and not folded.has(q, t):
+                    targets.add(t)
+            for t in sorted(targets):
+                society_members.append([])
+                sid = len(society_members) - 1
+                join(t, sid, helper=True)
+                join(q, sid, helper=True)
+        else:
+            society_members.append([])
+            sid = len(society_members) - 1
+            mine = society_members[sid]
+            for _ in range(cfg.cu):
+                a = edge_actor[int(rng_copy.integers(0, len(edge_actor)))]
+                if a not in mine:
+                    join(a, sid)
+
+    n_actors = len(actor_societies)
+    edges = [(a, u) for a in range(n_actors) for u in actor_societies[a]]
+    edges += helper_memberships
+    edges.sort()
+    bip = BipartiteAffiliation(n_actors, len(society_members),
+                               np.array(edges).reshape(-1, 2))
+    g = Graph.from_edges(n_actors, np.array(folded.src, dtype=np.int64),
+                         np.array(folded.dst, dtype=np.int64),
+                         directed=False)
+    return bip, g

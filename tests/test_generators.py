@@ -12,9 +12,11 @@ from richclub import (
     generate_affiliation,
     generate_ba,
     generate_er,
+    write_bipartite,
 )
 
 from conftest import edge_set
+from model_checks import reference_affiliation
 
 
 # ---------------------------------------------------------------- ER
@@ -362,7 +364,7 @@ def test_ba_attachment_frequencies_match_degree_proportional_law():
 def brute_fold(b: BipartiteAffiliation) -> set:
     """O(|Q|^2 * |U|) pairwise shared-society test."""
     socs = [set() for _ in range(b.actor_count)]
-    for a, u in b.edges:
+    for a, u in b.edges.tolist():
         socs[a].add(u)
     edges = set()
     for a in range(b.actor_count):
@@ -388,8 +390,49 @@ def test_affiliation_fold_equals_definition():
 def test_affiliation_determinism():
     a = generate_affiliation(GeneratorConfig.affiliation(120, seed=9))
     b = generate_affiliation(GeneratorConfig.affiliation(120, seed=9))
-    assert a[0].edges == b[0].edges
+    assert np.array_equal(a[0].edges, b[0].edges)
     assert edge_set(a[1]) == edge_set(b[1])
+
+
+@pytest.mark.parametrize("cq,cu,s,beta", [
+    (2, 2, 2, 0.5),
+    (0, 2, 2, 0.5),
+    (2, 0, 2, 0.5),
+    (2, 2, 0, 0.5),
+    (0, 0, 3, 0.5),
+    (1, 1, 1, 0.3),
+    (4, 3, 2, 0.7),
+    # the first 40 actors cannot find 40 targets, so their attempt
+    # cap of 50 * (s + 1) draws binds
+    (2, 2, 40, 0.5),
+])
+def test_affiliation_matches_per_pair_reference(cq, cu, s, beta):
+    """Same random numbers, same outputs as the per-pair oracle."""
+    for seed in (1, 2, 3):
+        cfg = GeneratorConfig.affiliation(400, seed, cq=cq, cu=cu, s=s,
+                                          beta=beta)
+        bip, g = generate_affiliation(cfg)
+        ref_bip, ref_g = reference_affiliation(cfg)
+        assert bip.actor_count == ref_bip.actor_count == 400
+        assert bip.society_count == ref_bip.society_count
+        assert np.array_equal(bip.edges, ref_bip.edges)
+        assert np.array_equal(g.csr()[0], ref_g.csr()[0])
+        assert np.array_equal(g.csr()[1], ref_g.csr()[1])
+        assert g.duplicates_dropped == 0 and g.loops_dropped == 0
+
+
+@pytest.mark.parametrize("actors", [2, 300])
+def test_write_bipartite_format(tmp_path, actors):
+    bip, _ = generate_affiliation(GeneratorConfig.affiliation(actors, 3))
+    memberships = sorted(map(tuple, bip.edges.tolist()))
+    expected = (f"# bipartite actors={bip.actor_count} "
+                f"societies={bip.society_count}\n"
+                + "".join(f"{a}\t{u}\n" for a, u in memberships))
+    if actors == 2:
+        assert memberships == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    path = tmp_path / "b.bipartite"
+    write_bipartite(bip, path)
+    assert path.read_bytes() == expected.encode("ascii")
 
 
 def test_affiliation_densifies_beyond_er_and_ba():
