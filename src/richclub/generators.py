@@ -72,6 +72,8 @@ class GeneratorConfig:
         size = self.actors if self.model == "affiliation" else self.n
         if size >= NODE_LIMIT:
             raise ValueError(f"{self.model}: n must be below {NODE_LIMIT}")
+        if self.seed < 0:
+            raise ValueError(f"{self.model}: seed must be >= 0")
         if self.model == "er":
             if self.n < 1:
                 raise ValueError("er: n must be >= 1")

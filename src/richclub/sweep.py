@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, NamedTuple, Sequence
 
 import numpy as np
@@ -61,7 +62,7 @@ _INT_COLUMNS = {"k", "degree_at_k", "sum_di", "sum_do", "internal_edges",
 _ARC_COLUMNS = ("internal_arcs", "reciprocal_arcs", "sym_ratio")
 _ARC_AT = CSV_COLUMNS.index("internal_arcs")
 _NULLABLE = {"c2", "coverage", "sym_ratio"}  # empty in some rows
-_CSV_CHUNK = 1 << 16  # rows formatted or parsed at once
+_CSV_CHUNK = 1 << 14  # rows formatted or parsed at once
 
 
 @dataclass(frozen=True)
@@ -460,15 +461,6 @@ def sociability_profile(rows: SweepTable) -> SociabilityProfile:
     return SociabilityProfile(points, int(rows.k[at]), max_raw)
 
 
-def _format_column(col: np.ndarray) -> list[str]:
-    if col.dtype.kind != "f":
-        return list(map(str, col.tolist()))
-    text = list(map("{:.6g}".format, col.tolist()))
-    for i in np.flatnonzero(np.isnan(col)).tolist():
-        text[i] = ""
-    return text
-
-
 def write_rows_csv(rows: SweepTable | Sequence[SweepRow],
                    out: IO[str] | str) -> None:
     """Write a sweep table, or a list of rows, as CSV; empty fields
@@ -479,13 +471,16 @@ def write_rows_csv(rows: SweepTable | Sequence[SweepRow],
             return
     if not isinstance(rows, SweepTable):
         rows = SweepTable.from_rows(rows)
+    cols = list(map(rows.__getattribute__, CSV_COLUMNS))
+    row = ",".join("" if col is None else "%.6g" if col.dtype.kind == "f"
+                   else "%d" for col in cols) + "\n"
+    cols = [col for col in cols if col is not None]
     out.write(",".join(CSV_COLUMNS) + "\n")
     for lo in range(0, len(rows), _CSV_CHUNK):
-        part = slice(lo, lo + _CSV_CHUNK)
-        fields = [[""] * len(rows.k[part]) if col is None
-                  else _format_column(col[part])
-                  for col in map(rows.__getattribute__, CSV_COLUMNS)]
-        out.writelines(",".join(line) + "\n" for line in zip(*fields))
+        parts = [col[lo:lo + _CSV_CHUNK].tolist() for col in cols]
+        values = tuple(chain.from_iterable(zip(*parts)))
+        # a null ratio (NaN) prints as "nan", letters no other field holds
+        out.write((row * len(parts[0]) % values).replace("nan", ""))
 
 
 def _parse_int(text: str) -> int | None:

@@ -84,6 +84,8 @@ def test_generate_invalid_params_exit_2(tmp_path, capsys):
                    "-o", str(out)) == 2   # missing --p
     assert run_cli("generate", "--model", "ba", "--n", "5",
                    "--mprime", "9", "--seed", "1", "-o", str(out)) == 2
+    assert run_cli("generate", "--model", "ba", "--n", "10",
+                   "--mprime", "2", "--seed", "-1", "-o", str(out)) == 2
     assert not out.exists()
     capsys.readouterr()
 
