@@ -29,8 +29,8 @@ from .axioms import AxiomThresholds, evaluate_axioms, minimal_elite
 from .generators import GeneratorConfig, generate, write_bipartite
 from .graph import floor_sqrt_edges, parse_edge_list, \
     underlying_undirected, write_edge_list
-from .sweep import CSV_COLUMNS, KGrid, SweepTable, read_rows_csv, \
-    run_sweep, sociability_profile, write_rows_csv
+from .sweep import CSV_COLUMNS, KGrid, SweepTable, _write_rows, \
+    read_rows_csv, run_sweep, sociability_profile, write_rows_csv
 
 __all__ = ["main"]
 
@@ -255,21 +255,23 @@ def _cmd_report(args) -> int:
         for name in CSV_COLUMNS
         if all(getattr(t, name) is not None for t in tables)})
     log_n = math.log(n) if n > 1 else 1.0
-    xs = [math.log(k) / log_n if n > 1 else 0.0 for k in rows.k.tolist()]
+    # math.log, not np.log, which differs in the last bit for some k
+    xs = np.array([math.log(k) / log_n if n > 1 else 0.0
+                   for k in rows.k.tolist()])
 
     for metric in ("c1", "c2", "c3"):
+        ys = getattr(rows, metric)
+        kept = ~np.isnan(ys)  # NaN is a null value
         with _staged_outputs(f"{args.output}_{metric}.dat") as fh:
             fh.write(f"# x=log_n(k)  y={metric}\n")
-            fh.writelines(f"{x:.6g} {y:.6g}\n" for x, y
-                          in zip(xs, getattr(rows, metric).tolist())
-                          if y == y)  # NaN is a null value
+            _write_rows(fh, "%.6g %.6g\n", [xs[kept], ys[kept]])
     profile = sociability_profile(rows)
     with _staged_outputs(f"{args.output}_sociability.dat") as fh:
         fh.write(f"# x=log_n(k)  y=normalized internal edges per member\n"
                  f"# argmax_k={profile.argmax_k} "
                  f"max_raw={profile.max_raw:.6g}\n")
-        fh.writelines(f"{x:.6g} {y:.6g}\n"
-                      for x, (_, y) in zip(xs, profile.points))
+        _write_rows(fh, "%.6g %.6g\n",
+                    [xs, np.array([y for _, y in profile.points])])
     print(f"wrote {args.output}_{{c1,c2,c3,sociability}}.dat "
           f"(argmax_k={profile.argmax_k})")
     return 0

@@ -128,18 +128,21 @@ def _skip_positions(rng, total, p):
     Samples geometric gaps in chunks instead of testing every trial,
     so the cost is proportional to the number of successes.  The gap
     stream is identical to drawing ``rng.geometric(p)`` one at a time.
+    Gaps are clipped at ``total + 1`` (< 2^62), so even for a tiny ``p``
+    no position up to the first one past the trials wraps.
     """
-    if total <= 0:
-        return np.empty(0, dtype=np.int64)
-    out = []
+    out = [np.empty(0, dtype=np.int64)]
     pos = -1
-    while pos < total:
-        gaps = rng.geometric(p, size=_ER_CHUNK)
+    while pos < total - 1:
+        gaps = np.minimum(rng.geometric(p, size=_ER_CHUNK), total + 1)
         chunk = pos + np.cumsum(gaps)
+        past = chunk >= total
+        if past.any():
+            out.append(chunk[:past.argmax()])
+            break
         out.append(chunk)
         pos = int(chunk[-1])
-    hits = np.concatenate(out)
-    return hits[hits < total]
+    return np.concatenate(out)
 
 
 def generate_er(cfg: GeneratorConfig) -> Graph:

@@ -6,10 +6,10 @@ and internal edge counts, the influence/stability/density constants c1,
 c2, c3, connectivity, coverage and directed reciprocity) for every club
 size on a grid.
 
-:func:`run_sweep` is the one production engine: it computes each column
-once for every club size k = 0..n as a prefix array (cumulative counts
-keyed by rank, plus a spanning forest grown in rank order for the
-component columns), so a grid of any density costs one fancy index.
+:func:`run_sweep` is the one production engine: from the edges' rank
+pairs alone it computes each column once for every club size k = 0..n
+as a prefix array (counts keyed by rank, plus a spanning forest grown in
+rank order for the component columns), so any grid costs one index.
 It returns a :class:`SweepTable`, one array per CSV column, which the
 CSV writer and reader, the sociability profile and the axiom checks
 all consume column by column.
@@ -291,9 +291,9 @@ class KGrid:
         return ks
 
 
-def _edge_rank_pairs(und: Graph, order: DegreeOrder):
-    """Per-edge endpoint ranks ``(lo, hi)`` with lo < hi, one per edge."""
-    src, dst = und.edge_arrays()
+def _edge_rank_pairs(g: Graph, order: DegreeOrder):
+    """Endpoint ranks ``(lo, hi)`` with lo < hi, one per edge (or arc)."""
+    src, dst = g.edge_arrays()
     ru = order.rank_of_node[src]
     rv = order.rank_of_node[dst]
     return np.minimum(ru, rv), np.maximum(ru, rv)
@@ -315,18 +315,6 @@ def internal_edges_by_k(g: Graph, order: DegreeOrder) -> np.ndarray:
     und = underlying_undirected(g)
     _, ev = _edge_rank_pairs(und, order)
     return _count_below(ev, und.n)
-
-
-def _min_neighbor_rank(und: Graph, order: DegreeOrder) -> np.ndarray:
-    """Smallest neighbor rank per rank position (n for isolated nodes)."""
-    n = und.n
-    indptr, indices = und.csr()
-    minr = np.full(n, n, dtype=np.int64)
-    nz = np.flatnonzero(np.diff(indptr))
-    if len(nz):
-        minr[nz] = np.minimum.reduceat(order.rank_of_node[indices],
-                                       indptr[nz])
-    return minr[order.node_at_rank]
 
 
 def _component_columns(eu: np.ndarray, ev: np.ndarray, n: int):
@@ -398,9 +386,11 @@ def _component_columns(eu: np.ndarray, ev: np.ndarray, n: int):
 def run_sweep(g: Graph, grid: KGrid | None = None) -> SweepTable:
     """Sweep the club size over ``grid``, one table row per grid point.
 
-    Every column is computed once for all k = 0..n as a prefix array,
-    in time near-linear in the edges; the grid then only selects rows,
-    so ``KGrid("full")`` costs about as much as a root grid.
+    Every column is computed once for all k = 0..n as a prefix array
+    over the edges' endpoint ranks, in time near-linear in the edges:
+    cut from two prefix counts, coverage from each node's lowest
+    lower-neighbour rank.  The grid then only selects rows, so
+    ``KGrid("full")`` costs about as much as a root grid.
     """
     if grid is None:
         grid = KGrid()
@@ -414,22 +404,20 @@ def run_sweep(g: Graph, grid: KGrid | None = None) -> SweepTable:
 
     eu, ev = _edge_rank_pairs(und, order)
     internal = _count_below(ev, n)
-    prefix_deg = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(und.degrees[order.node_at_rank], out=prefix_deg[1:])
-    cut = prefix_deg - 2 * internal
+    # the boundary edges of the top-k have lo < k <= hi
+    cut = _count_below(eu, n) - internal
     components, lcc = _component_columns(eu, ev, n)
 
-    # outside nodes with a club neighbor: those whose smallest neighbor
-    # rank is below k, minus the ones that are themselves in the club
-    minr = _min_neighbor_rank(und, order)
-    covered = (_count_below(minr, n)
-               - _count_below(np.maximum(np.arange(n), minr), n))
+    # an outside node's club neighbors rank lower, so it is covered when
+    # its lowest lower neighbor is below k; the club's own nodes are not
+    lowest = np.full(n, n, dtype=np.int64)
+    np.minimum.at(lowest, ev, eu)
+    covered = (_count_below(lowest, n)
+               - _count_below(np.where(lowest < n, np.arange(n), n), n))
 
     counts = [internal, cut, components, lcc, covered]
     if g.directed:
-        src, dst = g.edge_arrays()
-        arcs = _count_below(np.maximum(order.rank_of_node[src],
-                                       order.rank_of_node[dst]), n)
+        arcs = _count_below(_edge_rank_pairs(g, order)[1], n)
         # a club pair holds one arc, or two reciprocated ones
         counts += [arcs, 2 * (arcs - internal)]
     return _table(n, m, ks, order.degree_at_rank[ks - 1],
@@ -474,12 +462,17 @@ def write_rows_csv(rows: SweepTable | Sequence[SweepRow],
     cols = list(map(rows.__getattribute__, CSV_COLUMNS))
     row = ",".join("" if col is None else "%.6g" if col.dtype.kind == "f"
                    else "%d" for col in cols) + "\n"
-    cols = [col for col in cols if col is not None]
     out.write(",".join(CSV_COLUMNS) + "\n")
-    for lo in range(0, len(rows), _CSV_CHUNK):
+    _write_rows(out, row, [col for col in cols if col is not None])
+
+
+def _write_rows(out: IO[str], row: str, cols: Sequence[np.ndarray]) -> None:
+    """Write ``row % values`` per row of the aligned columns ``cols``,
+    ``_CSV_CHUNK`` rows at a time.  A null ratio (NaN) prints as "nan",
+    letters no other field holds, and is emptied."""
+    for lo in range(0, len(cols[0]), _CSV_CHUNK):
         parts = [col[lo:lo + _CSV_CHUNK].tolist() for col in cols]
         values = tuple(chain.from_iterable(zip(*parts)))
-        # a null ratio (NaN) prints as "nan", letters no other field holds
         out.write((row * len(parts[0]) % values).replace("nan", ""))
 
 

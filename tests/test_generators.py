@@ -62,13 +62,17 @@ def test_er_p1_is_complete():
 
 
 def test_er_edge_count_within_5_sigma():
-    n, p = 1000, 0.01
-    pairs = n * (n - 1) // 2
-    mean = pairs * p
-    sigma = math.sqrt(mean * (1 - p))
-    for seed in (1, 2, 3):
-        g = generate_er(GeneratorConfig.er(n, p, seed))
-        assert abs(g.m - mean) <= 5 * sigma
+    # a tiny p draws gaps near 2^63, whose sum once wrapped (1e-19) or
+    # never passed the last pair (1e-300); 5 sigma there allows m = 0 only
+    for n, p, directed in [(1000, 0.01, False), (100, 1e-19, False),
+                           (100, 1e-19, True), (3_000_000, 1e-300, False)]:
+        pairs = n * (n - 1) // (1 if directed else 2)
+        mean = pairs * p
+        sigma = math.sqrt(mean * (1 - p))
+        for seed in (1, 2, 3):
+            g = generate_er(GeneratorConfig.er(n, p, seed,
+                                               directed=directed))
+            assert abs(g.m - mean) <= 5 * sigma, (n, p, directed, seed)
 
 
 def test_er_matches_naive_pair_walk():

@@ -3,10 +3,13 @@
 On generated graphs, directed and undirected, every ``run_sweep`` row
 equals ``metrics_at_k`` at the same k, and the rows of the sparse grids
 equal the full-grid rows they select.  Where networkx is installed, it
-is an outside check of the ranking and of every count column.
+is an outside check of the ranking and of every count column, on the
+same random graphs and on the benchmark workloads' seed-1 graphs.
 
 hypothesis is a test-only dependency; without it the module is skipped.
 """
+
+import math
 
 import pytest
 
@@ -15,7 +18,8 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from richclub import (  # noqa: E402
-    Graph, KGrid, degree_order, metrics_at_k, run_sweep)
+    Graph, GeneratorConfig, KGrid, degree_order, generate, metrics_at_k,
+    run_sweep, underlying_undirected)
 
 
 @st.composite
@@ -59,6 +63,37 @@ def test_run_sweep_equals_oracle(g):
             assert row == full[row.k - 1], (grid, row.k)
 
 
+def assert_matches_networkx(G, g, table, ks):
+    """Check ``g``'s ranking and the rows of ``table`` at club sizes
+    ``ks`` against networkx counts on ``G``, the same graph."""
+    nx = pytest.importorskip("networkx")
+    n = g.n
+    U = G.to_undirected(as_view=True) if g.directed else G
+    order = degree_order(g)
+    degree = dict(G.degree)  # in + out when directed
+    assert order.node_at_rank.tolist() == sorted(
+        range(n), key=lambda v: (-degree[v], v))
+    at = {k: i for i, k in enumerate(table.k.tolist())}
+    for k in ks:
+        club = order.node_at_rank[:k].tolist()
+        row = table[at[k]]
+        sub = U.subgraph(club)
+        sizes = [len(c) for c in nx.connected_components(sub)]
+        boundary = len(nx.node_boundary(U, club))
+        assert (row.k, row.degree_at_k, row.internal_edges, row.sum_do,
+                row.components, row.lcc_size) == (
+            k, degree[club[-1]], sub.number_of_edges(),
+            nx.cut_size(U, club), len(sizes), max(sizes)), k
+        assert row.coverage == (boundary / (n - k) if k < n else None), k
+        if g.directed:
+            arcs = G.subgraph(club)
+            recip = sum(arcs.has_edge(v, u) for u, v in arcs.edges)
+            assert (row.internal_arcs, row.reciprocal_arcs) == (
+                arcs.number_of_edges(), recip), k
+            assert row.sym_ratio == (nx.reciprocity(arcs) if arcs.edges
+                                     else None), k
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(edge_lists())
 @example((1, [], False))
@@ -71,28 +106,26 @@ def test_run_sweep_matches_networkx(edges):
     G.add_nodes_from(range(n))
     G.add_edges_from(pairs)
     G.remove_edges_from(list(nx.selfloop_edges(G)))
-    U = G.to_undirected(as_view=True) if directed else G
+    assert_matches_networkx(G, g, run_sweep(g, KGrid(kind="full")),
+                            range(1, n + 1))
 
-    order = degree_order(g)
-    degree = dict(G.degree)  # in + out when directed
-    assert order.node_at_rank.tolist() == sorted(
-        range(n), key=lambda v: (-degree[v], v))
-    table = run_sweep(g, KGrid(kind="full"))
-    for k in range(1, n + 1):
-        club = order.node_at_rank[:k].tolist()
-        row = table[k - 1]
-        sub = U.subgraph(club)
-        sizes = [len(c) for c in nx.connected_components(sub)]
-        boundary = len(nx.node_boundary(U, club))
-        assert (row.k, row.degree_at_k, row.internal_edges, row.sum_do,
-                row.components, row.lcc_size) == (
-            k, degree[club[-1]], sub.number_of_edges(),
-            nx.cut_size(U, club), len(sizes), max(sizes)), k
-        assert row.coverage == (boundary / (n - k) if k < n else None), k
-        if directed:
-            arcs = G.subgraph(club)
-            recip = sum(arcs.has_edge(v, u) for u, v in arcs.edges)
-            assert (row.internal_arcs, row.reciprocal_arcs) == (
-                arcs.number_of_edges(), recip), k
-            assert row.sym_ratio == (nx.reciprocity(arcs) if arcs.edges
-                                     else None), k
+
+@pytest.mark.parametrize("cfg, grid", [
+    (GeneratorConfig.ba(100_000, 10, 1), "root"),
+    (GeneratorConfig.er(100_000, 1e-4, 1, directed=True), "root"),
+    (GeneratorConfig.affiliation(20_000, 1), "full"),
+], ids=["ba-root", "er-directed", "affiliation-full"])
+def test_run_sweep_matches_networkx_at_scale(cfg, grid):
+    """The benchmark workloads' seed-1 graphs, at k = 1, floor(sqrt(n)),
+    floor(sqrt(m)) and the median grid point."""
+    nx = pytest.importorskip("networkx")
+    g = generate(cfg)
+    if cfg.model == "affiliation":
+        g = g[1]
+    G = (nx.DiGraph if g.directed else nx.Graph)()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(zip(*(a.tolist() for a in g.edge_arrays())))
+    table = run_sweep(g, KGrid(kind=grid))
+    m = underlying_undirected(g).m
+    ks = [1, math.isqrt(g.n), math.isqrt(m), int(table.k[len(table) // 2])]
+    assert_matches_networkx(G, g, table, ks)
