@@ -7,12 +7,13 @@ Three conditions are evaluated against a sweep row:
 * density    (a4): c3 = sum_di / C(k,2)  >= c3_min
 
 Minimality is a selection principle rather than a predicate, so it is
-reported as the smallest grid k passing all active conditions.  Every
-check reads the columns of a :class:`~richclub.sweep.SweepTable`.  When
-influence and stability both hold at k with measured constants, simple
-arithmetic forces k^2 > c1*c2*m; any report claiming such a pass
-asserts that inequality, and the derived density / compactness bounds
-are attached as executable check entries.
+reported as the smallest k among the rows passing all active conditions,
+exact over a full-grid table.  Every check reads the columns of a
+:class:`~richclub.sweep.SweepTable`.  When influence and stability both
+hold at k with measured constants, simple arithmetic forces
+k^2 > c1*c2*m; any report claiming such a pass asserts that inequality,
+and the derived density / compactness bounds are attached as executable
+check entries.
 """
 
 from __future__ import annotations
@@ -184,10 +185,11 @@ def evaluate_axioms(rows: SweepTable, k: int,
 def minimal_elite(rows: SweepTable,
                   thresholds: AxiomThresholds = DEFAULT_THRESHOLDS, *,
                   m: int) -> AxiomReport:
-    """Smallest grid k passing all active checks; absence is a result.
+    """Smallest k among the rows passing all active checks; absence is
+    a result.  Exact over a ``KGrid("full")`` table, which has every k.
 
     ``rows`` is a table ascending in k.  The report evaluates at the
-    minimal passing k (or the last grid k when nothing passes) and
+    minimal passing k (or the last row's k when nothing passes) and
     records the ratio minimal_k / sqrt(m).
     """
     if not len(rows):
@@ -197,7 +199,7 @@ def minimal_elite(rows: SweepTable,
     report = _report(rows, int(hits[0]) if len(hits) else len(rows) - 1,
                      thresholds, m)
     if not len(hits):
-        report.verdict = "none: no grid club passes the active checks"
+        report.verdict = "none: no club passes the active checks"
         return report
     report.minimal_k = report.k
     report.verdict = f"minimal passing club size {report.k}"

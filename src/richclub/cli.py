@@ -111,9 +111,8 @@ def _build_parser():
     ax.add_argument("-i", "--input", required=True)
     ax.add_argument("-o", "--output")
     ax.add_argument("--directed", action="store_true")
-    ax.add_argument("--grid", choices=["root", "linear", "full"],
-                    default="root")
-    ax.add_argument("--points", type=int, default=200)
+    ax.add_argument("--grid", help="ignored: axioms reads every club size")
+    ax.add_argument("--points", help="ignored: axioms reads every club size")
     ax.add_argument("--c1min", type=float, default=0.05)
     ax.add_argument("--c2min", type=float, default=0.05)
     ax.add_argument("--c3min", type=float, default=0.01)
@@ -179,18 +178,12 @@ def _echo_sqrt_m_row(rows, m):
           f"components={row.components} lcc={row.lcc_size}{extra}")
 
 
-def _grid(args) -> KGrid:
-    """The ``--grid``/``--points`` grid, checked before any input is read."""
+def _cmd_sweep(args) -> int:
     grid = KGrid(kind=args.grid, points=args.points)
     try:
-        grid.k_values(1, 0)
+        grid.k_values(1, 0)  # a bad grid exits before any input is read
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return grid
-
-
-def _cmd_sweep(args) -> int:
-    grid = _grid(args)
     g = parse_edge_list(args.input, directed=args.directed)
     rows = run_sweep(g, grid)
     m = underlying_undirected(g).m
@@ -204,14 +197,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    grid = _grid(args)
     try:
         thresholds = AxiomThresholds(c1_min=args.c1min, c2_min=args.c2min,
                                      c3_min=args.c3min)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     g = parse_edge_list(args.input, directed=args.directed)
-    rows = run_sweep(g, grid)
+    # every k, so that the minimal passing club is exact
+    rows = run_sweep(g, KGrid("full"))
     m = underlying_undirected(g).m
     k = floor_sqrt_edges(underlying_undirected(g)) if m else int(rows.k[-1])
     report = evaluate_axioms(rows, k, thresholds, m=m)
@@ -259,18 +252,18 @@ def _cmd_report(args) -> int:
     xs = np.array([math.log(k) / log_n if n > 1 else 0.0
                    for k in rows.k.tolist()])
 
-    for metric in ("c1", "c2", "c3"):
-        ys = getattr(rows, metric)
-        kept = ~np.isnan(ys)  # NaN is a null value
-        with _staged_outputs(f"{args.output}_{metric}.dat") as fh:
+    profile = sociability_profile(rows)  # may raise: before any write
+    with _staged_outputs(*(f"{args.output}_{name}.dat" for name in
+                           ("c1", "c2", "c3", "sociability"))) as fhs:
+        for metric, fh in zip(("c1", "c2", "c3"), fhs):
+            ys = getattr(rows, metric)
+            kept = ~np.isnan(ys)  # NaN is a null value
             fh.write(f"# x=log_n(k)  y={metric}\n")
             _write_rows(fh, "%.6g %.6g\n", [xs[kept], ys[kept]])
-    profile = sociability_profile(rows)
-    with _staged_outputs(f"{args.output}_sociability.dat") as fh:
-        fh.write(f"# x=log_n(k)  y=normalized internal edges per member\n"
-                 f"# argmax_k={profile.argmax_k} "
-                 f"max_raw={profile.max_raw:.6g}\n")
-        _write_rows(fh, "%.6g %.6g\n",
+        fhs[3].write(f"# x=log_n(k)  y=normalized internal edges per member\n"
+                     f"# argmax_k={profile.argmax_k} "
+                     f"max_raw={profile.max_raw:.6g}\n")
+        _write_rows(fhs[3], "%.6g %.6g\n",
                     [xs, np.array([y for _, y in profile.points])])
     print(f"wrote {args.output}_{{c1,c2,c3,sociability}}.dat "
           f"(argmax_k={profile.argmax_k})")

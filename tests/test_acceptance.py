@@ -33,6 +33,7 @@ from richclub import (
     generate_ba,
     generate_er,
     metrics_at_k,
+    minimal_elite,
     parse_edge_list,
     run_sweep,
     underlying_undirected,
@@ -256,6 +257,27 @@ def test_ba_minimal_club_lands_near_sqrt_m(ba_million):
     sq = math.isqrt(g.m)
     assert rep.minimal_k is not None
     assert 0.2 * sq <= rep.minimal_k <= 5 * sq
+
+
+def _exact_minimal_ratio(g):
+    rows = run_sweep(g, KGrid(kind="full"))
+    return minimal_elite(rows, m=g.m).minimal_k_over_sqrt_m
+
+
+def test_minimal_club_scale_ladder_by_model(ba_million, affil_100k):
+    # supplementary: the exact minimal_k / sqrt(m), default thresholds.
+    # The affiliation model (the social-network model) keeps a flat
+    # ratio, 0.098 / 0.092 / 0.089 at 10^3 / 10^4 / 10^5 actors, as
+    # Theta(sqrt(m)) predicts; BA(n, 10) does not: 0.098 / 0.29 / 0.90
+    # at n = 10^4 / 10^5 / 10^6, about 3x per decade (seeds 1 and 2 alike)
+    affil = [_exact_minimal_ratio(generate_affiliation(
+        GeneratorConfig.affiliation(n, seed=20260808))[1])
+        for n in (1_000, 10_000)] + [_exact_minimal_ratio(affil_100k[0])]
+    ba = [_exact_minimal_ratio(generate_ba(
+        GeneratorConfig.ba(n, 10, seed=20260808)))
+        for n in (10_000, 100_000)] + [_exact_minimal_ratio(ba_million[0])]
+    assert all(0.05 <= r <= 0.2 for r in affil), affil
+    assert ba[0] < ba[1] < ba[2], ba
 
 
 def test_criterion_12_reciprocity_measurement():

@@ -15,8 +15,10 @@ from richclub import (
     generate_ba,
     generate_er,
     internal_edges_by_k,
+    metrics_at_k,
     minimal_elite,
     run_sweep,
+    underlying_undirected,
 )
 
 from conftest import random_graph
@@ -122,6 +124,35 @@ def test_minimal_elite_none_for_edgeless_graph():
     assert rep.minimal_k is None
     assert rep.minimal_k_over_sqrt_m is None
     assert rep.verdict.startswith("none")
+
+
+def _passes_oracle(row, thr):
+    return (row.c1 >= thr.c1_min and row.c2 is not None
+            and row.c2 >= thr.c2_min
+            and (not thr.check_density or row.c3 >= thr.c3_min))
+
+
+@pytest.mark.parametrize("thr", [
+    AxiomThresholds(),
+    AxiomThresholds(check_density=False),
+    AxiomThresholds(0.5, 0.5, 0.3),  # larger clubs, and one with none
+])
+def test_minimal_elite_exact_over_full_grid(rng, thr):
+    # the first k at which the oracle passes is minimal_elite over the
+    # full grid, and no coarser grid finds a smaller passing club
+    for _ in range(12):
+        g = random_graph(rng)
+        order = degree_order(g)
+        exact = next((k for k in range(1, g.n + 1)
+                      if _passes_oracle(metrics_at_k(g, order, k), thr)),
+                     None)
+        m = underlying_undirected(g).m
+        rep = minimal_elite(run_sweep(g, KGrid("full")), thr, m=m)
+        assert rep.minimal_k == exact
+        for kind in ("root", "linear"):
+            grid = KGrid(kind, int(rng.integers(1, 40)))
+            k = minimal_elite(run_sweep(g, grid), thr, m=m).minimal_k
+            assert k is None or (exact is not None and k >= exact)
 
 
 def test_minimal_elite_reports_ratio_to_sqrt_m():

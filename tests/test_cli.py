@@ -266,6 +266,21 @@ def test_axioms_bad_threshold_exit_2_before_reading_input(tmp_path, capsys):
     assert "c1_min" in err and "nope.txt" not in err
 
 
+def test_axioms_reads_every_club_size_whatever_the_grid(tmp_path, capsys):
+    # the minimal passing club has k=13; the first passing row of a
+    # three-point linear grid is k=44, so axioms must not use that grid
+    g = tmp_path / "g.txt"
+    assert run_cli("generate", "--model", "ba", "--n", "2000",
+                   "--mprime", "3", "--seed", "1", "-o", str(g)) == 0
+    default, linear = tmp_path / "default.json", tmp_path / "linear.json"
+    assert run_cli("axioms", "-i", str(g), "-o", str(default)) == 0
+    assert run_cli("axioms", "-i", str(g), "--grid", "linear",
+                   "--points", "3", "-o", str(linear)) == 0
+    assert json.loads(default.read_text())["minimal_k"] == 13
+    assert linear.read_bytes() == default.read_bytes()
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------- report
 
 
@@ -316,6 +331,19 @@ def test_report_rejects_mismatched_graphs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "b.csv" in err
     assert not (tmp_path / "plots_c1.dat").exists()
+
+
+def test_report_failure_leaves_no_plot_file(tmp_path, capsys):
+    # an edgeless graph has no sociability profile: report exits 1
+    # before any of its four files is renamed in
+    g = tmp_path / "g.txt"
+    g.write_text("0 0\n")
+    csv = tmp_path / "rows.csv"
+    assert run_cli("sweep", "-i", str(g), "-o", str(csv)) == 0
+    assert run_cli("report", "-i", str(csv),
+                   "-o", str(tmp_path / "plots")) == 1
+    assert "degenerate sociability profile" in capsys.readouterr().err
+    assert not list(tmp_path.glob("plots_*.dat"))
 
 
 @pytest.mark.parametrize("edit, message", [
