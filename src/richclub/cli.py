@@ -247,10 +247,9 @@ def _cmd_report(args) -> int:
         name: np.concatenate([getattr(t, name) for t in tables])[first]
         for name in CSV_COLUMNS
         if all(getattr(t, name) is not None for t in tables)})
-    log_n = math.log(n) if n > 1 else 1.0
     # math.log, not np.log, which differs in the last bit for some k
-    xs = np.array([math.log(k) / log_n if n > 1 else 0.0
-                   for k in rows.k.tolist()])
+    xs = (np.fromiter(map(math.log, rows.k.tolist()), float, len(rows))
+          / math.log(n) if n > 1 else np.zeros(len(rows)))
 
     profile = sociability_profile(rows)  # may raise: before any write
     with _staged_outputs(*(f"{args.output}_{name}.dat" for name in
@@ -264,7 +263,7 @@ def _cmd_report(args) -> int:
                      f"# argmax_k={profile.argmax_k} "
                      f"max_raw={profile.max_raw:.6g}\n")
         _write_rows(fhs[3], "%.6g %.6g\n",
-                    [xs, np.array([y for _, y in profile.points])])
+                    [xs, rows.sociability_raw / profile.max_raw])
     print(f"wrote {args.output}_{{c1,c2,c3,sociability}}.dat "
           f"(argmax_k={profile.argmax_k})")
     return 0

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import array
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -308,6 +306,38 @@ def _uniforms(rng, block=1 << 12):
         yield from rng.random(block).tolist()
 
 
+def _words(rng, block=1 << 12):
+    """The 32-bit words that ``rng``'s bounded draws consume, in order.
+
+    PCG64 serves ``next_uint32`` as the low half of a 64-bit output, then
+    its high half; the outputs are read ``block`` at a time.  Once wrapped,
+    ``rng`` must not draw through numpy again.
+    """
+    raw = rng.bit_generator.random_raw
+    while True:
+        out = raw(block)
+        words = np.empty(2 * block, dtype=np.uint64)
+        words[0::2] = out & 0xFFFFFFFF
+        words[1::2] = out >> 32
+        yield from words.tolist()
+
+
+def _below(words, high):
+    """``rng.integers(0, high)`` from ``_words(rng)``: Lemire's multiply
+    and shift, with numpy's rejection threshold.  Above 2**32 numpy
+    draws 64-bit words instead, so such a bound is refused."""
+    if not 1 <= high <= 1 << 32:
+        raise ValueError(f"bound {high} outside [1, 2**32]")
+    if high == 1:
+        return 0  # numpy draws no word
+    m = next(words) * high
+    if m & 0xFFFFFFFF < high:
+        threshold = ((1 << 32) - high) % high
+        while m & 0xFFFFFFFF < threshold:
+            m = next(words) * high
+    return m >> 32
+
+
 def generate_affiliation(cfg: GeneratorConfig):
     """Grow a bipartite actor-society graph and fold it to an actor graph.
 
@@ -327,26 +357,23 @@ def generate_affiliation(cfg: GeneratorConfig):
 
     The degree-proportional draws pick a uniform slot of the folded
     graph's endpoint pool: pair ``i``, in order of first appearance,
-    fills slot ``2i`` with the actor whose join created it and slot
-    ``2i + 1`` with the other member.  That pool is never built.  Each
-    join that creates pairs leaves one record (the joining actor, the
-    index of its first new pair, and the other members: a prefix of
-    the society's member list, or the list of those it did not already
-    know), so a slot resolves by bisection over the record starts.  A
+    fills slot ``2i`` with the actor whose join created it
+    (``joiners[i]``) and slot ``2i + 1`` with the other member
+    (``others[i]``).  These two flat arrays are the fold's edge list.  A
     join's repeated pairs are found without a set of pair keys: a new
     actor keeps the set of its neighbours, and two recruits of a new
-    society are already linked iff they share a society.  The fold is
-    built once at the end from the records.  The draws, and their
-    order, are those of a per-pair loop: scalar draws that are certain
-    to happen are only fetched in blocks.
+    society are already linked iff they share a society.  Copy and
+    attachment draws come one at a time from :func:`_below` over
+    :func:`_words` streams, which give the numbers, in the order, of a
+    per-pair loop calling ``rng.integers``.
 
     Returns ``(bipartite, folded_graph)``.
     """
     cfg.validate()
     ss = np.random.SeedSequence(cfg.seed).spawn(3)
     coins = _uniforms(np.random.default_rng(ss[0]))
-    rng_copy = np.random.default_rng(ss[1])
-    rng_pa = np.random.default_rng(ss[2])
+    rng_copy = _words(np.random.default_rng(ss[1]))
+    rng_pa = _words(np.random.default_rng(ss[2]))
     cap = 50 * (cfg.s + 1)  # attachment draws per new actor
 
     # every society of each actor, helper societies included
@@ -356,9 +383,9 @@ def generate_affiliation(cfg: GeneratorConfig):
     edge_society = array.array("i", [0, 1, 0, 1])
     helper_actor = array.array("i")
     helper_society = array.array("i")
-    # one record per pair-creating join; the seed's pair is (0, 1)
-    starts, joiners, others = [0], [0], [[1]]
-    distinct = 1  # folded pairs so far
+    # pair i of the fold is (joiners[i], others[i]); the seed's is (0, 1)
+    joiners = array.array("i", [0])
+    others = array.array("i", [1])
 
     while len(societies) < cfg.actors:
         if next(coins) < cfg.beta:
@@ -367,18 +394,15 @@ def generate_affiliation(cfg: GeneratorConfig):
             societies.append(mine)
             nbrs: set[int] = set()
             for _ in range(cfg.cq):
-                u = edge_society[int(rng_copy.integers(0, len(edge_society)))]
+                u = edge_society[_below(rng_copy, len(edge_society))]
                 if u in mine:
                     continue
                 members = society_members[u]
                 new = members
                 if not nbrs.isdisjoint(members):
                     new = [b for b in members if b not in nbrs]
-                if new:
-                    starts.append(distinct)
-                    joiners.append(q)
-                    others.append(new)
-                    distinct += len(new)
+                joiners.extend([q] * len(new))
+                others.extend(new)
                 nbrs.update(members)
                 members.append(q)
                 mine.add(u)
@@ -387,14 +411,11 @@ def generate_affiliation(cfg: GeneratorConfig):
             targets: set[int] = set()
             attempts = 0
             while len(targets) < cfg.s and attempts < cap:
-                k = min(cfg.s - len(targets), cap - attempts)
-                attempts += k
-                for slot in rng_pa.integers(0, 2 * distinct, size=k).tolist():
-                    i = slot >> 1
-                    r = bisect_right(starts, i) - 1
-                    t = others[r][i - starts[r]] if slot & 1 else joiners[r]
-                    if t != q and t not in targets and t not in nbrs:
-                        targets.add(t)
+                attempts += 1
+                slot = _below(rng_pa, 2 * len(joiners))
+                t = (others if slot & 1 else joiners)[slot >> 1]
+                if t != q and t not in targets and t not in nbrs:
+                    targets.add(t)
             for t in sorted(targets):
                 sid = len(society_members)
                 society_members.append([t, q])
@@ -402,25 +423,20 @@ def generate_affiliation(cfg: GeneratorConfig):
                 mine.add(sid)
                 helper_actor.extend((t, q))
                 helper_society.extend((sid, sid))
-                starts.append(distinct)
                 joiners.append(q)
-                others.append(society_members[sid])
-                distinct += 1
+                others.append(t)
         else:
             sid = len(society_members)
             recruits: list[int] = []
             society_members.append(recruits)
             for _ in range(cfg.cu):
-                a = edge_actor[int(rng_copy.integers(0, len(edge_actor)))]
+                a = edge_actor[_below(rng_copy, len(edge_actor))]
                 if a in recruits:
                     continue
                 known = societies[a]
                 new = [b for b in recruits if known.isdisjoint(societies[b])]
-                if new:
-                    starts.append(distinct)
-                    joiners.append(a)
-                    others.append(new)
-                    distinct += len(new)
+                joiners.extend([a] * len(new))
+                others.extend(new)
                 recruits.append(a)
                 known.add(sid)
                 edge_actor.append(a)
@@ -432,15 +448,8 @@ def generate_affiliation(cfg: GeneratorConfig):
     order = np.lexsort((society, actor))
     edges = np.stack([actor[order], society[order]], axis=1)
     bip = BipartiteAffiliation(n_actors, len(society_members), edges)
-
-    counts = np.diff(np.append(starts, distinct))
-    src = np.repeat(np.array(joiners, dtype=np.int64), counts)
-    dst = np.fromiter(
-        chain.from_iterable(
-            other[:c] for other, c in zip(others, counts.tolist())),
-        dtype=np.int64, count=distinct)
-    del starts, joiners, others
-    g = Graph.from_edges(n_actors, src, dst, directed=False)
+    g = Graph.from_edges(n_actors, np.frombuffer(joiners, np.int32),
+                         np.frombuffer(others, np.int32), directed=False)
     return bip, g
 
 

@@ -398,6 +398,17 @@ def test_affiliation_determinism():
     assert edge_set(a[1]) == edge_set(b[1])
 
 
+def assert_matches_reference(cfg):
+    bip, g = generate_affiliation(cfg)
+    ref_bip, ref_g = reference_affiliation(cfg)
+    assert bip.actor_count == ref_bip.actor_count == cfg.actors
+    assert bip.society_count == ref_bip.society_count
+    assert np.array_equal(bip.edges, ref_bip.edges)
+    assert np.array_equal(g.csr()[0], ref_g.csr()[0])
+    assert np.array_equal(g.csr()[1], ref_g.csr()[1])
+    assert g.duplicates_dropped == 0 and g.loops_dropped == 0
+
+
 @pytest.mark.parametrize("cq,cu,s,beta", [
     (2, 2, 2, 0.5),
     (0, 2, 2, 0.5),
@@ -413,16 +424,14 @@ def test_affiliation_determinism():
 def test_affiliation_matches_per_pair_reference(cq, cu, s, beta):
     """Same random numbers, same outputs as the per-pair oracle."""
     for seed in (1, 2, 3):
-        cfg = GeneratorConfig.affiliation(400, seed, cq=cq, cu=cu, s=s,
-                                          beta=beta)
-        bip, g = generate_affiliation(cfg)
-        ref_bip, ref_g = reference_affiliation(cfg)
-        assert bip.actor_count == ref_bip.actor_count == 400
-        assert bip.society_count == ref_bip.society_count
-        assert np.array_equal(bip.edges, ref_bip.edges)
-        assert np.array_equal(g.csr()[0], ref_g.csr()[0])
-        assert np.array_equal(g.csr()[1], ref_g.csr()[1])
-        assert g.duplicates_dropped == 0 and g.loops_dropped == 0
+        assert_matches_reference(GeneratorConfig.affiliation(
+            400, seed, cq=cq, cu=cu, s=s, beta=beta))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_affiliation_matches_per_pair_reference_at_benchmark_size(seed):
+    """The ``affiliation-full`` benchmark graph, draw for draw."""
+    assert_matches_reference(GeneratorConfig.affiliation(20_000, seed))
 
 
 @pytest.mark.parametrize("actors", [2, 300])
