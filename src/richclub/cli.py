@@ -163,7 +163,7 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _echo_sqrt_m_row(rows, m):
+def _echo_sqrt_m_row(rows, m, file):
     if not m:
         return
     # every grid holds floor(sqrt(m))
@@ -175,7 +175,8 @@ def _echo_sqrt_m_row(rows, m):
         extra = (f" internal_arcs={row.internal_arcs} sym_ratio={sym}")
     print(f"sqrt(m)-club: k={row.k} c1={row.c1:.4g} c2={c2} "
           f"c3={row.c3:.4g} internal_edges={row.internal_edges} "
-          f"components={row.components} lcc={row.lcc_size}{extra}")
+          f"components={row.components} lcc={row.lcc_size}{extra}",
+          file=file)
 
 
 def _cmd_sweep(args) -> int:
@@ -187,7 +188,7 @@ def _cmd_sweep(args) -> int:
     g = parse_edge_list(args.input, directed=args.directed)
     rows = run_sweep(g, grid)
     m = underlying_undirected(g).m
-    _echo_sqrt_m_row(rows, m)
+    _echo_sqrt_m_row(rows, m, sys.stdout if args.output else sys.stderr)
     if args.output:
         with _staged_outputs(args.output) as fh:
             write_rows_csv(rows, fh)
@@ -211,10 +212,11 @@ def _cmd_axioms(args) -> int:
     minimal = minimal_elite(rows, thresholds, m=m)
     report.minimal_k = minimal.minimal_k
     report.minimal_k_over_sqrt_m = minimal.minimal_k_over_sqrt_m
+    echo = sys.stdout if args.output else sys.stderr
     print(f"at k={report.k}: " + " ".join(
         f"{name}={'pass' if ok else 'FAIL'}"
-        for name, ok in report.passes.items()))
-    print(minimal.verdict)
+        for name, ok in report.passes.items()), file=echo)
+    print(minimal.verdict, file=echo)
     payload = report.to_json()
     if args.output:
         with _staged_outputs(args.output) as fh:

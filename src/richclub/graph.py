@@ -1,10 +1,11 @@
 """Compact immutable graphs with SNAP-style edge-list I/O.
 
 A :class:`Graph` is a simple graph (no self-loops, no parallel edges)
-stored as a CSR adjacency structure over dense node ids ``0..n-1``.
-Undirected edges appear in both endpoint lists; directed graphs store
-sorted out-neighbor lists plus in-degree counts.  Graphs are immutable
-after construction and safe to share between threads.
+over dense node ids ``0..n-1``, stored as its edge list sorted by
+``(src, dst)``: one int32 pair per arc, or per undirected edge with
+``src < dst``.  The CSR adjacency behind :meth:`Graph.neighbors` is
+built on first use and cached.  Graphs are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -43,34 +44,29 @@ class EdgeListError(ValueError):
 
 
 class Graph:
-    """Simple graph over dense ids with sorted CSR neighbor lists.
+    """Simple graph over dense ids, stored as its sorted edge list.
 
     Build instances with :meth:`from_edges` (or :func:`parse_edge_list`),
     which normalizes the input: self-loops and duplicate edges are
     dropped (and counted), and in undirected mode ``(u, v)`` / ``(v, u)``
-    collapse to a single edge stored in both endpoint lists.
+    collapse to a single edge stored once with ``u < v``.
     """
 
-    def __init__(self, n, indptr, indices, directed, in_degree=None,
-                 original_ids=None, loops_dropped=0, duplicates_dropped=0):
+    def __init__(self, n, src, dst, directed, original_ids=None,
+                 loops_dropped=0, duplicates_dropped=0):
         self.n = int(n)
+        self.m = len(src)
         self.directed = bool(directed)
-        self._indptr = indptr
-        self._indices = indices
-        self._out_degree = np.diff(indptr)
-        if directed:
-            self.m = int(len(indices))
-            self._in_degree = in_degree
-            self.degrees = self._out_degree + in_degree
-        else:
-            self.m = int(len(indices)) // 2
-            self._in_degree = None
-            self.degrees = self._out_degree
+        self._src = src
+        self._dst = dst
+        self.degrees = (np.bincount(src, minlength=self.n)
+                        + np.bincount(dst, minlength=self.n))
         self.original_ids = original_ids
         self.loops_dropped = int(loops_dropped)
         self.duplicates_dropped = int(duplicates_dropped)
-        for arr in (self._indptr, self._indices, self.degrees):
+        for arr in (self._src, self._dst, self.degrees):
             arr.flags.writeable = False
+        self._csr = None
         self._projection = None
 
     @classmethod
@@ -114,32 +110,26 @@ class Graph:
         keys = keys[keep]
         duplicates_dropped = len(keep) - len(keys)
         del keep
-        if not directed:
-            # both orientations as one row-major key each; the keys are
-            # distinct, so an unstable sort gives the CSR order
-            keys = np.concatenate([keys, keys % n * n + keys // n])
-            keys.sort()
-        # row-major sorted keys: per-row lists come out ascending
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        keys %= n
-        indices = keys.astype(np.int32)
-        in_degree = np.bincount(indices, minlength=n) if directed else None
-        return cls(n, indptr, indices, directed, in_degree=in_degree,
+        # row-major sorted keys: the edges come out sorted by (src, dst)
+        dst = (keys % n).astype(np.int32)
+        keys //= n
+        return cls(n, keys.astype(np.int32), dst, directed,
                    original_ids=original_ids,
                    loops_dropped=loops_dropped,
                    duplicates_dropped=duplicates_dropped)
 
     def neighbors(self, v):
         """Sorted out-neighbors of ``v`` (all neighbors if undirected)."""
-        return self._indices[self._indptr[v]:self._indptr[v + 1]]
+        indptr, indices = self.csr()
+        return indices[indptr[v]:indptr[v + 1]]
 
     def degree(self, v):
         """Total degree of ``v`` (out + in when directed)."""
         return int(self.degrees[v])
 
     def out_degree(self, v):
-        return int(self._out_degree[v])
+        indptr = self.csr()[0]
+        return int(indptr[v + 1] - indptr[v])
 
     def has_edge(self, u, v):
         """True if edge ``{u, v}`` (arc ``u -> v`` when directed) exists."""
@@ -148,21 +138,28 @@ class Graph:
         return bool(i < len(row) and row[i] == v)
 
     def edge_arrays(self):
-        """Endpoint arrays, one entry per edge (per arc when directed).
-
-        Undirected edges are reported once with ``src < dst``.
-        """
-        rows = np.repeat(np.arange(self.n, dtype=np.int32),
-                         self._out_degree)
-        cols = self._indices
-        if self.directed:
-            return rows, cols
-        keep = rows < cols
-        return rows[keep], cols[keep]
+        """Endpoint arrays, one entry per edge (per arc when directed),
+        sorted by ``(src, dst)``; undirected edges have ``src < dst``."""
+        return self._src, self._dst
 
     def csr(self):
-        """Raw ``(indptr, indices)`` of the adjacency structure."""
-        return self._indptr, self._indices
+        """Read-only ``(indptr, indices)`` adjacency: sorted out-neighbor
+        lists (all neighbors if undirected), built on first use."""
+        if self._csr is None:
+            rows, cols = self._src, self._dst
+            if not self.directed:
+                # (dst, src) first: each row lists its lower neighbors,
+                # ascending, before its higher ones
+                rows, cols = (np.concatenate([cols, rows]),
+                              np.concatenate([rows, cols]))
+                order = np.argsort(rows, kind="stable")
+                rows, cols = rows[order], cols[order]
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+            for arr in (indptr, cols):
+                arr.flags.writeable = False
+            self._csr = indptr, cols
+        return self._csr
 
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
@@ -187,9 +184,10 @@ def parse_edge_list(source, directed=False) -> Graph:
     numbered by ``np.unique`` and then take the same path.  A path is
     read whole and tokenized into one preallocated buffer of two ids
     per line, and its bytes are released before the compaction.  Peak
-    memory is then about 3 int64 arrays of length N with dense ids (4.0
-    times the size of a BA edge list this package wrote), and about 6.2
-    with sparse ones (3.8 times the file with ids up to 10^12).
+    memory is then about 2.5 int64 arrays of length N with dense ids
+    (3.3 times the size of a BA(2*10^5, 10) edge list this package
+    wrote), and about 6.2 with sparse ones (3.8 times the file with ids
+    up to 10^12).
 
     Raises :class:`EdgeListError` with the offending line number for
     malformed lines, and for entirely empty input.

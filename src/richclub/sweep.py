@@ -430,18 +430,15 @@ def run_sweep(g: Graph, grid: KGrid | None = None) -> SweepTable:
 
 
 class SociabilityProfile(NamedTuple):
-    points: list[tuple[int, float]]
     argmax_k: int
     max_raw: float
 
 
 def sociability_profile(rows: SweepTable) -> SociabilityProfile:
-    """Normalize internal-edges-per-member by its maximum over the grid.
-
-    Returns the normalized profile plus the (first) club size where the
-    raw value peaks.  Raises on an all-zero profile, which happens only
-    for graphs whose clubs never contain an edge.
-    """
+    """The (first) club size where internal-edges-per-member peaks, and
+    the peak, which normalizes the profile.  Raises on an all-zero
+    profile, which happens only for graphs whose clubs never contain
+    an edge."""
     if not len(rows):
         raise ValueError("no sweep rows")
     at = int(np.argmax(rows.sociability_raw))
@@ -449,9 +446,7 @@ def sociability_profile(rows: SweepTable) -> SociabilityProfile:
     if max_raw <= 0:
         raise ValueError(
             "degenerate sociability profile: no club has internal edges")
-    points = list(zip(rows.k.tolist(),
-                      (rows.sociability_raw / max_raw).tolist()))
-    return SociabilityProfile(points, int(rows.k[at]), max_raw)
+    return SociabilityProfile(int(rows.k[at]), max_raw)
 
 
 def write_rows_csv(rows: SweepTable | Sequence[SweepRow],

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from richclub import parse_edge_list, read_rows_csv
+from richclub import Graph, parse_edge_list, read_rows_csv
 from richclub.cli import main
 
 
@@ -143,6 +144,55 @@ def test_every_command_runs_without_scipy(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in blocked.iterdir()) == names
     for name in names:
         assert (blocked / name).read_bytes() == (plain / name).read_bytes()
+
+
+GRAPHS = {
+    "ba": ["--model", "ba", "--n", "200", "--mprime", "3", "--seed", "1"],
+    "er": ["--model", "er", "--n", "300", "--p", "0.02", "--directed",
+           "--seed", "1"],
+    "affiliation": ["--model", "affiliation", "--n", "300", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("model", sorted(GRAPHS))
+def test_no_command_builds_the_adjacency(model, tmp_path, monkeypatch,
+                                         capsys):
+    # the pipeline needs degrees and edge endpoints only
+    def no_csr(self):
+        raise AssertionError("adjacency built")
+
+    monkeypatch.setattr(Graph, "csr", no_csr)
+    monkeypatch.chdir(tmp_path)
+    directed = ["--directed"] if model == "er" else []
+    assert run_cli("generate", *GRAPHS[model], "-o", "g.txt") == 0
+    assert run_cli("sweep", "-i", "g.txt", "-o", "rows.csv",
+                   *directed) == 0
+    assert run_cli("axioms", "-i", "g.txt", "-o", "axioms.json",
+                   *directed) == 0
+    assert run_cli("report", "-i", "rows.csv", "-o", "plot") == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("directed", [[], ["--directed"]])
+def test_data_on_stdout_is_the_output_file(directed, tmp_path, capsys):
+    # without -o, stdout holds the data alone and the summary lines go
+    # to stderr; with -o, they go to stdout
+    g = tmp_path / "g.txt"
+    model = GRAPHS["er"] if directed else GRAPHS["ba"]
+    assert run_cli("generate", *model, "-o", str(g)) == 0
+    capsys.readouterr()
+    for command, parse in (("sweep", lambda t: read_rows_csv(io.StringIO(t))),
+                           ("axioms", json.loads)):
+        out = tmp_path / command
+        assert run_cli(command, "-i", str(g), "-o", str(out),
+                       *directed) == 0
+        summary = capsys.readouterr().out
+        assert summary
+        assert run_cli(command, "-i", str(g), *directed) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text()
+        assert captured.err == summary
+        parse(captured.out)
 
 
 def test_usage_error_exit_2_subprocess():

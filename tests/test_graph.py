@@ -1,6 +1,8 @@
 import io
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -139,6 +141,29 @@ def test_neighbor_lists_sorted_and_membership(rng):
         for u in nbrs.tolist():
             assert g.has_edge(v, u) and g.has_edge(u, v)
     assert not g.has_edge(0, 0)
+
+
+def test_adjacency_cache_is_thread_safe(rng):
+    # threads racing to build the cached adjacency each read complete,
+    # correct neighbor lists
+    base = parse_edge_list(random_lines(rng, 3000, 500))
+    want = [[] for _ in range(base.n)]
+    for u, v in edge_set(base):
+        want[u].append(v)
+        want[v].append(u)
+    want = [sorted(row) for row in want]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g = Graph.from_edges(base.n, *base.edge_arrays())
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(lambda: [g.neighbors(v).tolist()
+                                                for v in range(g.n)])
+                           for _ in range(8)]
+                assert all(f.result(timeout=60) == want for f in futures)
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_write_parse_round_trip_preserves_labels(rng):

@@ -129,6 +129,11 @@ def assert_same(got, want):
     assert got.original_ids.tolist() == want.original_ids.tolist()
     for a, b in zip(got.csr(), want.csr()):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+    # the stored edge list, in the order write_edge_list writes it
+    src, dst = got.edge_arrays()
+    assert src.dtype == dst.dtype == np.int32
+    pairs = sorted(zip(*(a.tolist() for a in want.edge_arrays())))
+    assert list(zip(src.tolist(), dst.tolist())) == pairs
     assert np.array_equal(got.degrees, want.degrees)
     assert got.loops_dropped == want.loops_dropped
     assert got.duplicates_dropped == want.duplicates_dropped
@@ -240,6 +245,8 @@ def test_from_edges_matches_naive(case, directed):
         in_degree[v] += 1
         if not directed:
             rows[v].append(u)
+    src, dst = g.edge_arrays()
+    assert list(zip(src.tolist(), dst.tolist())) == sorted(ref.edges)
     indptr, indices = g.csr()
     assert indptr.dtype == np.int64 and indices.dtype == np.int32
     assert indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()

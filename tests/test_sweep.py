@@ -263,15 +263,16 @@ def test_sociability_complete_graph_increases():
         assert r.sociability_raw == pytest.approx((r.k - 1) / 2)
     profile = sociability_profile(rows)
     assert profile.argmax_k == 30
-    assert max(v for _, v in profile.points) == 1.0
+    assert max(rows.sociability_raw / profile.max_raw) == 1.0
 
 
 def test_sociability_normalized_max_at_argmax(rng):
     g = random_graph(rng, n_max=120, directed=False)
     rows = run_sweep(g, KGrid(kind="full"))
     profile = sociability_profile(rows)
-    by_k = dict(profile.points)
-    assert by_k[profile.argmax_k] == 1.0
+    at = int(np.searchsorted(rows.k, profile.argmax_k))
+    assert rows.k[at] == profile.argmax_k
+    assert rows.sociability_raw[at] / profile.max_raw == 1.0
 
 
 def test_sociability_degenerate_profile_errors():
