@@ -3,8 +3,7 @@
 A :class:`Graph` is a simple graph (no self-loops, no parallel edges)
 over dense node ids ``0..n-1``, stored as its edge list sorted by
 ``(src, dst)``: one int32 pair per arc, or per undirected edge with
-``src < dst``.  The CSR adjacency behind :meth:`Graph.neighbors` is
-built on first use and cached.  Graphs are immutable after
+``src < dst``, plus each node's degree.  Graphs are immutable after
 construction and safe to share between threads.
 """
 
@@ -66,7 +65,6 @@ class Graph:
         self.duplicates_dropped = int(duplicates_dropped)
         for arr in (self._src, self._dst, self.degrees):
             arr.flags.writeable = False
-        self._csr = None
         self._projection = None
 
     @classmethod
@@ -74,18 +72,22 @@ class Graph:
         """Build a normalized graph from parallel endpoint arrays.
 
         ``src``/``dst`` hold dense ids in ``[0, n)``; order and
-        duplication are arbitrary.  Returns the deduplicated loop-free
-        graph with drop counts recorded on the instance.
+        duplication are arbitrary; a non-empty array must have an integer
+        dtype.  Returns the deduplicated loop-free graph with drop counts
+        recorded on the instance.
         """
         n = int(n)
         if n <= 0:
             raise ValueError("graph needs at least one node")
         if n >= NODE_LIMIT:
             raise ValueError("node count exceeds supported range")
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src, dst = np.asarray(src), np.asarray(dst)
         if src.shape != dst.shape:
             raise ValueError("src/dst length mismatch")
+        if len(src) and not {src.dtype.kind, dst.dtype.kind} <= set("iu"):
+            raise ValueError("endpoint ids must be integers")
+        src = src.astype(np.int64, copy=False)
+        dst = dst.astype(np.int64, copy=False)
         if len(src) and (src.min() < 0 or dst.min() < 0
                          or src.max() >= n or dst.max() >= n):
             raise ValueError("endpoint id out of range")
@@ -118,48 +120,10 @@ class Graph:
                    loops_dropped=loops_dropped,
                    duplicates_dropped=duplicates_dropped)
 
-    def neighbors(self, v):
-        """Sorted out-neighbors of ``v`` (all neighbors if undirected)."""
-        indptr, indices = self.csr()
-        return indices[indptr[v]:indptr[v + 1]]
-
-    def degree(self, v):
-        """Total degree of ``v`` (out + in when directed)."""
-        return int(self.degrees[v])
-
-    def out_degree(self, v):
-        indptr = self.csr()[0]
-        return int(indptr[v + 1] - indptr[v])
-
-    def has_edge(self, u, v):
-        """True if edge ``{u, v}`` (arc ``u -> v`` when directed) exists."""
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return bool(i < len(row) and row[i] == v)
-
     def edge_arrays(self):
         """Endpoint arrays, one entry per edge (per arc when directed),
         sorted by ``(src, dst)``; undirected edges have ``src < dst``."""
         return self._src, self._dst
-
-    def csr(self):
-        """Read-only ``(indptr, indices)`` adjacency: sorted out-neighbor
-        lists (all neighbors if undirected), built on first use."""
-        if self._csr is None:
-            rows, cols = self._src, self._dst
-            if not self.directed:
-                # (dst, src) first: each row lists its lower neighbors,
-                # ascending, before its higher ones
-                rows, cols = (np.concatenate([cols, rows]),
-                              np.concatenate([rows, cols]))
-                order = np.argsort(rows, kind="stable")
-                rows, cols = rows[order], cols[order]
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-            for arr in (indptr, cols):
-                arr.flags.writeable = False
-            self._csr = indptr, cols
-        return self._csr
 
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"

@@ -13,9 +13,9 @@ rank order for the component columns), so any grid costs one index.
 It returns a :class:`SweepTable`, one array per CSV column, which the
 CSV writer and reader, the sociability profile and the axiom checks
 all consume column by column.
-:func:`metrics_at_k` recomputes a single club from scratch by plain
-traversal; it is the reference semantics, kept deliberately naive as
-the testing oracle.
+:func:`metrics_at_k` recomputes a single club from scratch with masks
+over the edge list and a plain traversal; it is the reference
+semantics, kept deliberately naive as the testing oracle.
 
 Directed graphs are ranked by total degree (in + out); c1/c2/c3,
 connectivity and coverage are computed on the undirected projection,
@@ -191,69 +191,59 @@ def _table(n, m, k, degree_at_k, internal, cut, components, lcc,
 def metrics_at_k(g: Graph, order: DegreeOrder, k: int) -> SweepRow:
     """Recompute every metric for the k-club from scratch.
 
-    Induces the club, counts edges by scanning neighbor lists, finds
-    components by traversal, coverage by marking club neighborhoods and
-    (for directed input) internal and reciprocated arcs by arc lookup.
-    This is the reference semantics and the testing oracle for
-    :func:`run_sweep`; it shares no counting code with it.
+    Marks the club's nodes and classifies each projection edge by its
+    marked endpoints: two make it internal, one a boundary edge whose
+    other endpoint is covered.  Components come from a traversal of the
+    club's internal edges, and (for directed input) internal and
+    reciprocated arcs from the set of the club's arcs.  This is the
+    reference semantics and the testing oracle for :func:`run_sweep`;
+    it shares no counting code with it.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k={k} out of range [1, {g.n}]")
     und = underlying_undirected(g)
-    club = order.node_at_rank[:k]
+    club = order.node_at_rank[:k].tolist()
     included = np.zeros(g.n, dtype=bool)
     included[club] = True
 
-    internal = 0
-    cut = 0
-    for v in club.tolist():
-        for u in und.neighbors(v).tolist():
-            if included[u]:
-                if u > v:
-                    internal += 1
-            else:
-                cut += 1
+    src, dst = und.edge_arrays()
+    src_in, dst_in = included[src], included[dst]
+    both = src_in & dst_in
+    boundary = src_in != dst_in
+    internal = int(np.count_nonzero(both))
+    cut = int(np.count_nonzero(boundary))
+    covered_outside = len(set(np.where(src_in, dst, src)[boundary].tolist()))
 
+    adjacent = {v: [] for v in club}
+    for u, v in zip(src[both].tolist(), dst[both].tolist()):
+        adjacent[u].append(v)
+        adjacent[v].append(u)
     components = 0
     lcc = 0
-    seen = np.zeros(g.n, dtype=bool)
-    for start in club.tolist():
-        if seen[start]:
+    seen = set()
+    for start in club:
+        if start in seen:
             continue
         components += 1
         size = 0
         stack = [start]
-        seen[start] = True
+        seen.add(start)
         while stack:
             x = stack.pop()
             size += 1
-            for u in und.neighbors(x).tolist():
-                if included[u] and not seen[u]:
-                    seen[u] = True
+            for u in adjacent[x]:
+                if u not in seen:
+                    seen.add(u)
                     stack.append(u)
         lcc = max(lcc, size)
-
-    covered_outside = 0
-    if k < g.n:
-        covered = np.zeros(g.n, dtype=bool)
-        for v in club.tolist():
-            covered[und.neighbors(v)] = True
-        covered_outside = int(np.count_nonzero(covered & ~included))
-
-    arcs = recip = None
-    if g.directed:
-        arcs = recip = 0
-        for v in club.tolist():
-            for u in g.neighbors(v).tolist():
-                if included[u]:
-                    arcs += 1
-                    if g.has_edge(u, v):
-                        recip += 1
 
     counts = [k, order.degree_at_rank[k - 1], internal, cut, components,
               lcc, covered_outside]
     if g.directed:
-        counts += [arcs, recip]
+        tail, head = g.edge_arrays()
+        inside = included[tail] & included[head]
+        arcs = set(zip(tail[inside].tolist(), head[inside].tolist()))
+        counts += [len(arcs), sum((v, u) in arcs for u, v in arcs)]
     return _table(g.n, und.m, *(np.array([c], np.int64) for c in counts))[0]
 
 
@@ -267,16 +257,14 @@ class KGrid:
     points: int = 200
 
     def k_values(self, n: int, m: int) -> np.ndarray:
+        if self.points < 1:
+            raise ValueError("a grid needs at least 1 point")
         if self.kind == "full":
             ks = np.arange(1, n + 1, dtype=np.int64)
         elif self.kind == "root":
-            if self.points < 1:
-                raise ValueError("root grid needs at least 1 point")
             x = np.arange(self.points + 1) / self.points
             ks = np.rint(float(n) ** x).astype(np.int64)
         elif self.kind == "linear":
-            if self.points < 1:
-                raise ValueError("linear grid needs at least 1 point")
             ks = np.rint(np.linspace(1.0, float(n),
                                      self.points)).astype(np.int64)
         else:

@@ -1,8 +1,8 @@
 """Shared reference builders and graph factories for the test suite.
 
 The reference builders here are deliberately naive (hash sets, double
-loops, full scans) so they stay independent of the package's CSR /
-vectorized code paths.
+loops, full scans) so they stay independent of the package's sorting
+and vectorized code paths.
 """
 
 import numpy as np

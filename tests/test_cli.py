@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from richclub import Graph, parse_edge_list, read_rows_csv
+from richclub import parse_edge_list, read_rows_csv
 from richclub.cli import main
 
 
@@ -150,27 +150,7 @@ GRAPHS = {
     "ba": ["--model", "ba", "--n", "200", "--mprime", "3", "--seed", "1"],
     "er": ["--model", "er", "--n", "300", "--p", "0.02", "--directed",
            "--seed", "1"],
-    "affiliation": ["--model", "affiliation", "--n", "300", "--seed", "1"],
 }
-
-
-@pytest.mark.parametrize("model", sorted(GRAPHS))
-def test_no_command_builds_the_adjacency(model, tmp_path, monkeypatch,
-                                         capsys):
-    # the pipeline needs degrees and edge endpoints only
-    def no_csr(self):
-        raise AssertionError("adjacency built")
-
-    monkeypatch.setattr(Graph, "csr", no_csr)
-    monkeypatch.chdir(tmp_path)
-    directed = ["--directed"] if model == "er" else []
-    assert run_cli("generate", *GRAPHS[model], "-o", "g.txt") == 0
-    assert run_cli("sweep", "-i", "g.txt", "-o", "rows.csv",
-                   *directed) == 0
-    assert run_cli("axioms", "-i", "g.txt", "-o", "axioms.json",
-                   *directed) == 0
-    assert run_cli("report", "-i", "rows.csv", "-o", "plot") == 0
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("directed", [[], ["--directed"]])
@@ -259,9 +239,10 @@ def test_sweep_id_beyond_int64_reports_line_number(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_bad_points_exit_2_before_reading_input(tmp_path, capsys):
+@pytest.mark.parametrize("grid", ["full", "linear", "root"])
+def test_sweep_bad_points_exit_2_before_reading_input(grid, tmp_path, capsys):
     assert run_cli("sweep", "-i", str(tmp_path / "nope.txt"),
-                   "--points", "0") == 2
+                   "--grid", grid, "--points", "0") == 2
     err = capsys.readouterr().err
     assert "point" in err and "nope.txt" not in err
 
