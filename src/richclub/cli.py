@@ -3,8 +3,8 @@
 Subcommands::
 
     richclub generate --model {er,ba,affiliation} ... -o graph.txt
-    richclub sweep    -i graph.txt -o rows.csv [--grid root|linear|full]
-    richclub axioms   -i graph.txt -o report.json [--c1min ...]
+    richclub sweep    -i graph.txt [-o rows.csv] [--grid root|linear|full]
+    richclub axioms   -i graph.txt [-o report.json] [--c1min ...]
     richclub report   -i rows.csv [rows2.csv ...] -o prefix
 
 Outputs are written atomically (temp file + rename), so a failing run
@@ -144,7 +144,6 @@ def _cmd_generate(args) -> int:
             cfg = GeneratorConfig.affiliation(args.n, seed, cq=args.cq,
                                               cu=args.cu, s=args.s,
                                               beta=args.beta)
-        cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     result = generate(cfg)
@@ -180,9 +179,8 @@ def _echo_sqrt_m_row(rows, m, file):
 
 
 def _cmd_sweep(args) -> int:
-    grid = KGrid(kind=args.grid, points=args.points)
     try:
-        grid.k_values(1, 0)  # a bad grid exits before any input is read
+        grid = KGrid(kind=args.grid, points=args.points)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     g = parse_edge_list(args.input, directed=args.directed)
@@ -235,6 +233,8 @@ def _cmd_report(args) -> int:
             raise ValueError(f"{path}: {exc}") from None
         if not len(table):
             raise ValueError(f"{path}: no data rows")
+        if table.k.min() < 1:
+            raise ValueError(f"{path}: club size k={table.k.min()} below 1")
         n = int(table.k.max())
         if tables and n != expected_n:
             raise ValueError(

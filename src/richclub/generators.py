@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import array
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _ER_CHUNK = 1 << 16
+_UNIFORM_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class GeneratorConfig:
         return cls(model="affiliation", seed=seed, actors=actors,
                    cq=cq, cu=cu, s=s, beta=beta)
 
-    def validate(self):
+    def __post_init__(self):
         size = self.actors if self.model == "affiliation" else self.n
         if size >= NODE_LIMIT:
             raise ValueError(f"{self.model}: n must be below {NODE_LIMIT}")
@@ -96,7 +97,6 @@ class GeneratorConfig:
                 raise ValueError("affiliation: directed mode not supported")
         else:
             raise ValueError(f"unknown model {self.model!r}")
-        return self
 
 
 @dataclass
@@ -106,13 +106,11 @@ class BipartiteAffiliation:
 
     actor_count: int
     society_count: int
-    edges: np.ndarray = field(
-        default_factory=lambda: np.empty((0, 2), dtype=np.int32))
+    edges: np.ndarray
 
 
 def generate(cfg: GeneratorConfig):
     """Dispatch on ``cfg.model``; affiliation returns (bipartite, graph)."""
-    cfg.validate()
     if cfg.model == "er":
         return generate_er(cfg)
     if cfg.model == "ba":
@@ -149,7 +147,6 @@ def generate_er(cfg: GeneratorConfig) -> Graph:
     With ``directed=True`` every ordered pair becomes an arc
     independently, which is the natural directed analogue.
     """
-    cfg.validate()
     n, p = cfg.n, cfg.p
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     if cfg.directed:
@@ -183,7 +180,6 @@ def generate_ba(cfg: GeneratorConfig) -> Graph:
     duplicate targets in node order, which keeps the sequential
     rejection sampler's law exactly.
     """
-    cfg.validate()
     n, mp = cfg.n, cfg.mprime
     # the draws and the children index are freed before the graph build
     pool = _ba_pool(n, mp, np.random.SeedSequence(cfg.seed).spawn(2))
@@ -300,10 +296,10 @@ def _fix_duplicates(pool, draws, n, mp, rng):
                     heapq.heappush(queue, w)
 
 
-def _uniforms(rng, block=1 << 12):
+def _uniforms(rng):
     """``rng.random()`` one at a time, drawn in blocks (the same doubles)."""
     while True:
-        yield from rng.random(block).tolist()
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
 
 
 def _words(rng, block=1 << 12):
@@ -369,7 +365,6 @@ def generate_affiliation(cfg: GeneratorConfig):
 
     Returns ``(bipartite, folded_graph)``.
     """
-    cfg.validate()
     ss = np.random.SeedSequence(cfg.seed).spawn(3)
     coins = _uniforms(np.random.default_rng(ss[0]))
     rng_copy = _words(np.random.default_rng(ss[1]))

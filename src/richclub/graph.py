@@ -73,14 +73,23 @@ class Graph:
 
         ``src``/``dst`` hold dense ids in ``[0, n)``; order and
         duplication are arbitrary; a non-empty array must have an integer
-        dtype.  Returns the deduplicated loop-free graph with drop counts
-        recorded on the instance.
+        dtype.  ``original_ids`` (node labels in ``[0, 2**63)``) is kept
+        as a read-only int64 copy.  Returns the deduplicated loop-free
+        graph with drop counts recorded on the instance.
         """
         n = int(n)
         if n <= 0:
             raise ValueError("graph needs at least one node")
         if n >= NODE_LIMIT:
             raise ValueError("node count exceeds supported range")
+        if original_ids is not None:
+            ids = np.asarray(original_ids)
+            if (ids.shape != (n,) or ids.dtype.kind not in "iu"
+                    or ids.min() < 0 or int(ids.max()) > _INT64_MAX):
+                raise ValueError(
+                    f"original_ids must be {n} integer ids in [0, 2**63)")
+            original_ids = ids.astype(np.int64)  # a copy
+            original_ids.flags.writeable = False
         src, dst = np.asarray(src), np.asarray(dst)
         if src.shape != dst.shape:
             raise ValueError("src/dst length mismatch")
@@ -325,10 +334,7 @@ def write_edge_list(g: Graph, out: IO[str] | str) -> None:
         with open(out, "wt", encoding="utf-8") as fh:
             write_edge_list(g, fh)
             return
-    if g.original_ids is not None:
-        label = np.asarray(g.original_ids, dtype=np.int64)
-    else:
-        label = np.arange(g.n, dtype=np.int64)
+    label = np.arange(g.n) if g.original_ids is None else g.original_ids
     out.write(f"# n={g.n} m={g.m} directed={int(g.directed)}\n")
     for lo in range(0, g.n, _WRITE_CHUNK):
         out.write(_format_lines(label[lo:lo + _WRITE_CHUNK]))
@@ -341,30 +347,26 @@ def write_edge_list(g: Graph, out: IO[str] | str) -> None:
 def _format_lines(a: np.ndarray, b: np.ndarray | None = None,
                   sep: str = " ") -> str:
     """``f"{a[i]}{sep}{b[i]}\\n"`` for every i, built as one ASCII buffer
-    (``b`` defaults to ``a``)."""
+    (``b`` defaults to ``a``); the ids are in ``[0, 2**63)``."""
     vals = np.empty(2 * len(a), dtype=np.int64)
     vals[0::2] = a
     vals[1::2] = a if b is None else b
-    neg = vals < 0
-    mag = vals.view(np.uint64)  # two's complement: |v| = -v mod 2**64
-    np.negative(mag, out=mag, where=neg)
+    mag = vals.view(np.uint64)
     width = 1 + int(np.count_nonzero(_POW10 <= mag.max()))
     digits = np.ones(len(mag), dtype=np.int8)
     for power in _POW10[:width - 1]:
         digits += mag >= power
-    # one row per value: a sign column, the digits right-aligned with
-    # leading zeros, then the separator; a mask drops the padding
-    rows = np.empty((len(mag), width + 2), dtype=np.uint8)
-    for j in range(width, 0, -1):
+    # one row per value: the digits right-aligned with leading zeros,
+    # then the separator; a mask drops the padding
+    rows = np.empty((len(mag), width + 1), dtype=np.uint8)
+    for j in range(width - 1, -1, -1):
         quotient = mag // np.uint64(10)
         rows[:, j] = mag - quotient * np.uint64(10)
         mag = quotient
-    rows[:, 1:-1] += ord("0")
+    rows[:, :-1] += ord("0")
     rows[0::2, -1] = ord(sep)
     rows[1::2, -1] = ord("\n")
-    rows[neg, width - digits[neg]] = ord("-")
-    keep = (np.arange(width + 2, dtype=np.int8)
-            >= (width + 1 - digits - neg)[:, None])
+    keep = np.arange(width + 1, dtype=np.int8) >= (width - digits)[:, None]
     return rows[keep].tobytes().decode("ascii")
 
 

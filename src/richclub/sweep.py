@@ -256,19 +256,21 @@ class KGrid:
     kind: str = "root"
     points: int = 200
 
-    def k_values(self, n: int, m: int) -> np.ndarray:
+    def __post_init__(self):
         if self.points < 1:
             raise ValueError("a grid needs at least 1 point")
+        if self.kind not in ("root", "linear", "full"):
+            raise ValueError(f"unknown grid kind {self.kind!r}")
+
+    def k_values(self, n: int, m: int) -> np.ndarray:
         if self.kind == "full":
             ks = np.arange(1, n + 1, dtype=np.int64)
         elif self.kind == "root":
             x = np.arange(self.points + 1) / self.points
             ks = np.rint(float(n) ** x).astype(np.int64)
-        elif self.kind == "linear":
+        else:
             ks = np.rint(np.linspace(1.0, float(n),
                                      self.points)).astype(np.int64)
-        else:
-            raise ValueError(f"unknown grid kind {self.kind!r}")
         extra = [math.isqrt(n)]
         if m >= 1:
             extra.append(math.isqrt(m))

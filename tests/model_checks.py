@@ -135,7 +135,6 @@ def reference_affiliation(cfg: GeneratorConfig):
     draw is a scalar call.  The production generator must consume the
     same random numbers and return identical outputs.
     """
-    cfg.validate()
     ss = np.random.SeedSequence(cfg.seed).spawn(3)
     rng_evo = np.random.default_rng(ss[0])
     rng_copy = np.random.default_rng(ss[1])

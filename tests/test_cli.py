@@ -87,6 +87,10 @@ def test_generate_invalid_params_exit_2(tmp_path, capsys):
                    "--mprime", "9", "--seed", "1", "-o", str(out)) == 2
     assert run_cli("generate", "--model", "ba", "--n", "10",
                    "--mprime", "2", "--seed", "-1", "-o", str(out)) == 2
+    assert run_cli("generate", "--model", "ba", "--n", "10",
+                   "--mprime", "2", "--directed", "-o", str(out)) == 2
+    assert run_cli("generate", "--model", "affiliation", "--n", "10",
+                   "--directed", "-o", str(out)) == 2
     assert not out.exists()
     capsys.readouterr()
 
@@ -362,6 +366,21 @@ def test_report_rejects_mismatched_graphs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "b.csv" in err
     assert not (tmp_path / "plots_c1.dat").exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-4"])
+def test_report_rejects_club_size_below_1(tmp_path, capsys, k):
+    # log(k) is undefined there: the file is named before any output
+    csv = make_sweep_csv(tmp_path)
+    lines = csv.read_text().splitlines()
+    lines[1] = ",".join([k] + lines[1].split(",")[1:])
+    csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("report", "-i", str(csv),
+                   "-o", str(tmp_path / "plots")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"richclub: {csv}: club size k={k} below 1"]
+    assert not list(tmp_path.glob("plots_*.dat"))
 
 
 def test_report_failure_leaves_no_plot_file(tmp_path, capsys):

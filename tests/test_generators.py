@@ -98,11 +98,11 @@ def test_er_determinism():
 
 def test_er_config_validation():
     with pytest.raises(ValueError):
-        GeneratorConfig.er(10, 0.0, seed=1).validate()
+        GeneratorConfig.er(10, 0.0, seed=1)
     with pytest.raises(ValueError):
-        GeneratorConfig.er(10, 1.5, seed=1).validate()
+        GeneratorConfig.er(10, 1.5, seed=1)
     with pytest.raises(ValueError):
-        GeneratorConfig.er(0, 0.5, seed=1).validate()
+        GeneratorConfig.er(0, 0.5, seed=1)
 
 
 # ---------------------------------------------------------------- BA
@@ -281,9 +281,9 @@ def test_ba_determinism():
 
 def test_ba_config_validation():
     with pytest.raises(ValueError):
-        GeneratorConfig.ba(5, 6, seed=1).validate()
+        GeneratorConfig.ba(5, 6, seed=1)
     with pytest.raises(ValueError):
-        GeneratorConfig.ba(5, 0, seed=1).validate()
+        GeneratorConfig.ba(5, 0, seed=1)
 
 
 def reconstruct_ba_steps(g, mprime):
@@ -459,9 +459,9 @@ def test_affiliation_densifies_beyond_er_and_ba():
 
 def test_affiliation_config_validation():
     with pytest.raises(ValueError):
-        GeneratorConfig.affiliation(1, seed=1).validate()
+        GeneratorConfig.affiliation(1, seed=1)
     with pytest.raises(ValueError):
-        GeneratorConfig.affiliation(10, seed=1, beta=1.0).validate()
+        GeneratorConfig.affiliation(10, seed=1, beta=1.0)
 
 
 def test_generate_dispatch():

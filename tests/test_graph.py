@@ -172,7 +172,7 @@ def fstring_edge_list(g) -> str:
 
 
 @pytest.mark.parametrize("directed", [False, True])
-@pytest.mark.parametrize("ids", ["dense", "digits", "int64", "signed"])
+@pytest.mark.parametrize("ids", ["dense", "digits", "int64"])
 def test_write_edge_list_matches_fstring_writer(rng, tmp_path, directed,
                                                 ids):
     # 40_000 edges span more than one formatting chunk; ids 200..299
@@ -187,22 +187,40 @@ def test_write_edge_list_matches_fstring_writer(rng, tmp_path, directed,
                                        for d in (-1, 0, 1)})
             + list(range(5 * 10 ** 17, 5 * 10 ** 17 + n - 56))),
         "int64": rng.integers(0, 2 ** 63 - 1, n, endpoint=True),
-        "signed": rng.integers(-2 ** 63, 2 ** 63 - 1, n, endpoint=True),
     }[ids]
     g = Graph.from_edges(n, src, dst, directed=directed,
                          original_ids=original)
     buf = io.StringIO()
     write_edge_list(g, buf)
     assert buf.getvalue() == fstring_edge_list(g)
-    if ids != "signed":  # the format holds ids in [0, 2**63)
-        path = tmp_path / "g.txt"
-        write_edge_list(g, path)
-        assert path.read_text() == buf.getvalue()
-        g2 = parse_edge_list(path, directed=directed)
-        assert (g2.n, g2.m) == (g.n, g.m)
-        assert edge_set(g2) == edge_set(g)
-        assert g2.original_ids.tolist() == (
-            list(range(n)) if original is None else original.tolist())
+    path = tmp_path / "g.txt"
+    write_edge_list(g, path)
+    assert path.read_text() == buf.getvalue()
+    g2 = parse_edge_list(path, directed=directed)
+    assert (g2.n, g2.m) == (g.n, g.m)
+    assert edge_set(g2) == edge_set(g)
+    assert g2.original_ids.tolist() == (
+        list(range(n)) if original is None else original.tolist())
+
+
+@pytest.mark.parametrize("ids", [
+    [5],                                    # one label for three nodes
+    [[1, 2, 3]],                            # not 1-D
+    [1.0, 2.0, 3.0],                        # not integers
+    [1, -3, 4],                             # the format has no sign
+    np.array([1, 2, 2 ** 63], np.uint64),   # does not fit in int64
+])
+def test_from_edges_rejects_bad_original_ids(ids):
+    # caught when the graph is built, not when it is written
+    with pytest.raises(ValueError, match="original_ids"):
+        Graph.from_edges(3, [0, 1], [1, 2], original_ids=ids)
+    labels = np.array([7, 2 ** 63 - 1, 0], np.uint64)
+    g = Graph.from_edges(3, [0, 1], [1, 2], original_ids=labels)
+    labels[0] = 8  # the graph keeps its own copy
+    assert g.original_ids.dtype == np.int64
+    assert g.original_ids.tolist() == [7, 2 ** 63 - 1, 0]
+    with pytest.raises(ValueError):
+        g.original_ids[0] = 1
 
 
 def test_write_edge_list_single_node_without_edges():

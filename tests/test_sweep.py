@@ -225,10 +225,10 @@ def test_grid_kinds():
     assert KGrid(kind="full").k_values(10, 20).tolist() == list(range(1, 11))
     lin = KGrid(kind="linear", points=5).k_values(100, 50)
     assert lin[0] == 1 and lin[-1] == 100
-    with pytest.raises(ValueError):
-        KGrid(kind="root", points=0).k_values(10, 5)
-    with pytest.raises(ValueError):
-        KGrid(kind="banana").k_values(10, 5)
+    with pytest.raises(ValueError, match="at least 1 point"):
+        KGrid(kind="root", points=0)
+    with pytest.raises(ValueError, match="unknown grid kind 'banana'"):
+        KGrid(kind="banana")
 
 
 def test_sweep_table_columns_round_trip_through_rows(rng):
