@@ -235,6 +235,11 @@ def _cmd_report(args) -> int:
             raise ValueError(f"{path}: no data rows")
         if table.k.min() < 1:
             raise ValueError(f"{path}: club size k={table.k.min()} below 1")
+        for name in ("c1", "c2", "c3", "sociability_raw"):
+            inf = np.isinf(getattr(table, name))
+            if inf.any():
+                raise ValueError(f"{path}: non-finite {name} "
+                                 f"at k={table.k[inf.argmax()]}")
         n = int(table.k.max())
         if tables and n != expected_n:
             raise ValueError(

@@ -8,7 +8,7 @@ edge set is bit-identical across runs.
 from __future__ import annotations
 
 import array
-import heapq
+import operator
 from dataclasses import dataclass
 from typing import IO
 
@@ -68,6 +68,12 @@ class GeneratorConfig:
                    cq=cq, cu=cu, s=s, beta=beta)
 
     def __post_init__(self):
+        for name in ("n", "mprime", "actors", "cq", "cu", "s", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(
+                    f"{self.model}: {name} must be an integer") from None
         size = self.actors if self.model == "affiliation" else self.n
         if size >= NODE_LIMIT:
             raise ValueError(f"{self.model}: n must be below {NODE_LIMIT}")
@@ -242,19 +248,20 @@ def _ba_pool(n, mp, seeds):
 def _fix_duplicates(pool, draws, n, mp, rng):
     """Redraw repeated targets in node order, as rejection sampling does.
 
-    A node's targets are re-derived from its first draws once every
-    earlier target is final; each repeat is replaced by further draws
-    from ``rng`` until a new node comes up.  A target that changes is
-    pushed to the edges whose first draw copied its slot, and their
-    nodes are queued for the same check.
+    One scan in node order over a flag per node, set when the node's
+    first draws repeat a target or copy one that changed.  A flagged
+    node's targets are re-derived from its first draws; each repeat is
+    replaced by further draws from ``rng`` until a new node comes up.  A
+    drawn slot points strictly backwards, so a node that copies an
+    edge's target comes after that edge's node and is flagged before
+    the scan reaches it.
     """
     clique = mp * (mp - 1) // 2
     dst = pool[1::2]
     rows = np.sort(dst[clique:].reshape(n - mp, mp), axis=1)
-    queue = (mp + np.flatnonzero(
-        (rows[:, 1:] == rows[:, :-1]).any(axis=1))).tolist()
+    dirty = bytearray(mp) + bytearray(
+        (rows[:, 1:] == rows[:, :-1]).any(axis=1).tobytes())
     del rows
-    queued = set(queue)
 
     # children index: the nodes whose first draws copied a drawn target,
     # keyed by that target's edge
@@ -264,8 +271,8 @@ def _fix_duplicates(pool, draws, n, mp, rng):
     parent = parent[order]
     child = mp + child[order] // mp
 
-    while queue:
-        v = heapq.heappop(queue)
+    v = dirty.find(1)
+    while v >= 0:
         lo = clique + (v - mp) * mp  # v's first edge
         targets = pool[draws[lo - clique:lo - clique + mp]].tolist()
         seen: set[int] = set()
@@ -282,18 +289,16 @@ def _fix_duplicates(pool, draws, n, mp, rng):
             targets[j] = t
         old = dst[lo:lo + mp].tolist()
         changed = [lo + j for j in range(mp) if old[j] != targets[j]]
-        if not changed:
-            continue
-        dst[lo:lo + mp] = targets
-        # keys of parent's dtype, so that parent is not cast
-        changed = np.array(changed, dtype=parent.dtype)
-        a = np.searchsorted(parent, changed)
-        b = np.searchsorted(parent, changed, side="right")
-        for i, k in zip(a.tolist(), b.tolist()):
-            for w in child[i:k].tolist():
-                if w not in queued:
-                    queued.add(w)
-                    heapq.heappush(queue, w)
+        if changed:
+            dst[lo:lo + mp] = targets
+            # keys of parent's dtype, so that parent is not cast
+            changed = np.array(changed, dtype=parent.dtype)
+            a = np.searchsorted(parent, changed)
+            b = np.searchsorted(parent, changed, side="right")
+            for i, k in zip(a.tolist(), b.tolist()):
+                for w in child[i:k].tolist():
+                    dirty[w] = 1
+        v = dirty.find(1, v + 1)
 
 
 def _uniforms(rng):

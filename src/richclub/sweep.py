@@ -26,6 +26,7 @@ the arcs directly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, NamedTuple, Sequence
@@ -257,6 +258,10 @@ class KGrid:
     points: int = 200
 
     def __post_init__(self):
+        try:
+            operator.index(self.points)
+        except TypeError:
+            raise ValueError("grid points must be an integer") from None
         if self.points < 1:
             raise ValueError("a grid needs at least 1 point")
         if self.kind not in ("root", "linear", "full"):

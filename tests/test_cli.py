@@ -383,6 +383,25 @@ def test_report_rejects_club_size_below_1(tmp_path, capsys, k):
     assert not list(tmp_path.glob("plots_*.dat"))
 
 
+@pytest.mark.parametrize("column, value", [("sociability_raw", "inf"),
+                                           ("c1", "-inf")])
+def test_report_rejects_infinite_values(tmp_path, capsys, column, value):
+    # an infinite value would reach the plot files as an empty field
+    csv = make_sweep_csv(tmp_path)
+    lines = csv.read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[2].split(",")
+    fields[header.index(column)] = value
+    lines[2] = ",".join(fields)
+    csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("report", "-i", str(csv),
+                   "-o", str(tmp_path / "plots")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"richclub: {csv}: non-finite {column} at k={fields[0]}"]
+    assert not list(tmp_path.glob("plots_*.dat"))
+
+
 def test_report_failure_leaves_no_plot_file(tmp_path, capsys):
     # an edgeless graph has no sociability profile: report exits 1
     # before any of its four files is renamed in

@@ -103,6 +103,8 @@ def test_er_config_validation():
         GeneratorConfig.er(10, 1.5, seed=1)
     with pytest.raises(ValueError):
         GeneratorConfig.er(0, 0.5, seed=1)
+    with pytest.raises(ValueError, match="er: n must be an integer"):
+        GeneratorConfig.er(10.5, 0.3, seed=1)
 
 
 # ---------------------------------------------------------------- BA
@@ -171,7 +173,8 @@ def replay_ba_edges(n, mp, seed):
 
 @pytest.mark.parametrize("n, mp, seed", [
     (2, 1, 1), (300, 1, 2), (5, 2, 3), (6, 3, 4), (400, 2, 5),
-    (2000, 4, 6), (3000, 10, 7), (200, 30, 8)])
+    (2000, 4, 6), (3000, 10, 7), (200, 30, 8),
+    (100_000, 10, 1)])  # the ba-root benchmark graph
 def test_ba_equals_sequential_replay(n, mp, seed):
     g = generate_ba(GeneratorConfig.ba(n, mp, seed))
     assert edge_set(g) == replay_ba_edges(n, mp, seed)
@@ -284,6 +287,14 @@ def test_ba_config_validation():
         GeneratorConfig.ba(5, 6, seed=1)
     with pytest.raises(ValueError):
         GeneratorConfig.ba(5, 0, seed=1)
+    with pytest.raises(ValueError, match="ba: seed must be an integer"):
+        GeneratorConfig.ba(10, 2, seed=1.5)
+    with pytest.raises(ValueError, match="ba: mprime must be an integer"):
+        GeneratorConfig.ba(10, 2.0, seed=1)
+    # numpy integers are integers
+    g = generate_ba(GeneratorConfig.ba(np.int64(10), np.int32(2),
+                                       seed=np.uint8(1)))
+    assert edge_set(g) == edge_set(generate_ba(GeneratorConfig.ba(10, 2, 1)))
 
 
 def reconstruct_ba_steps(g, mprime):
@@ -462,6 +473,11 @@ def test_affiliation_config_validation():
         GeneratorConfig.affiliation(1, seed=1)
     with pytest.raises(ValueError):
         GeneratorConfig.affiliation(10, seed=1, beta=1.0)
+    with pytest.raises(ValueError, match="affiliation: cq must be an integer"):
+        GeneratorConfig.affiliation(50, seed=1, cq=1.5)
+    with pytest.raises(ValueError,
+                       match="affiliation: actors must be an integer"):
+        GeneratorConfig.affiliation(50.5, seed=1)
 
 
 def test_generate_dispatch():

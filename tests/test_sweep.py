@@ -229,6 +229,10 @@ def test_grid_kinds():
         KGrid(kind="root", points=0)
     with pytest.raises(ValueError, match="unknown grid kind 'banana'"):
         KGrid(kind="banana")
+    with pytest.raises(ValueError, match="grid points must be an integer"):
+        KGrid(kind="linear", points=2.5)
+    assert KGrid(kind="linear", points=np.int64(5)).k_values(
+        100, 50).tolist() == lin.tolist()
 
 
 def test_sweep_table_columns_round_trip_through_rows(rng):
