@@ -9,7 +9,6 @@ CLI (``richclub``) for the full pipeline.
 from .axioms import (
     AxiomReport,
     AxiomThresholds,
-    DEFAULT_THRESHOLDS,
     VerificationError,
     evaluate_axioms,
     minimal_elite,
@@ -49,8 +48,8 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomReport", "AxiomThresholds", "DEFAULT_THRESHOLDS",
-    "VerificationError", "evaluate_axioms", "minimal_elite",
+    "AxiomReport", "AxiomThresholds", "VerificationError",
+    "evaluate_axioms", "minimal_elite",
     "BipartiteAffiliation", "GeneratorConfig", "generate",
     "generate_affiliation", "generate_ba", "generate_er", "write_bipartite",
     "EdgeListError", "Graph", "floor_sqrt_edges", "parse_edge_list",

@@ -30,7 +30,6 @@ __all__ = [
     "AxiomThresholds",
     "AxiomReport",
     "VerificationError",
-    "DEFAULT_THRESHOLDS",
     "evaluate_axioms",
     "minimal_elite",
 ]
@@ -46,6 +45,9 @@ class AxiomThresholds:
 
     Influence and stability are always checked; ``check_density=False``
     asks for the minimal influential and stable club, dense or not.
+    The defaults are an order of magnitude below typical large-network
+    constants, so real data passes comfortably while a sparse random
+    graph fails influence.
     """
 
     c1_min: float = 0.05
@@ -62,11 +64,6 @@ class AxiomThresholds:
     def to_dict(self):
         return {"c1_min": self.c1_min, "c2_min": self.c2_min,
                 "c3_min": self.c3_min}
-
-
-# an order of magnitude below typical large-network constants, so real
-# data passes comfortably while a sparse random graph fails influence
-DEFAULT_THRESHOLDS = AxiomThresholds()
 
 
 @dataclass
@@ -168,7 +165,7 @@ def _report(rows: SweepTable, i: int, thr: AxiomThresholds,
 
 
 def evaluate_axioms(rows: SweepTable, k: int,
-                    thresholds: AxiomThresholds = DEFAULT_THRESHOLDS, *,
+                    thresholds: AxiomThresholds = AxiomThresholds(), *,
                     m: int) -> AxiomReport:
     """Evaluate the threshold checks at club size ``k``.
 
@@ -183,7 +180,7 @@ def evaluate_axioms(rows: SweepTable, k: int,
 
 
 def minimal_elite(rows: SweepTable,
-                  thresholds: AxiomThresholds = DEFAULT_THRESHOLDS, *,
+                  thresholds: AxiomThresholds = AxiomThresholds(), *,
                   m: int) -> AxiomReport:
     """Smallest k among the rows passing all active checks; absence is
     a result.  Exact over a ``KGrid("full")`` table, which has every k.

@@ -7,21 +7,23 @@ Subcommands::
     richclub axioms   -i graph.txt [-o report.json] [--c1min ...]
     richclub report   -i rows.csv [rows2.csv ...] -o prefix
 
-Outputs are written atomically (temp file + rename), so a failing run
-leaves no partial files behind.  All randomness flows from ``--seed``;
-when the flag is absent a fresh seed is drawn and printed so the run
-can be reproduced.
+Outputs are checked before any work and written atomically (temp file
++ rename), so a failing run leaves no partial files behind.  All
+randomness flows from ``--seed``; when the flag is absent a fresh seed
+is drawn and printed so the run can be reproduced.  A parameter flag is
+passed on only when given: the object it builds holds its default.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import secrets
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -39,6 +41,31 @@ class UsageError(Exception):
     """Bad command-line parameters; maps to exit code 2."""
 
 
+def _build(cls, args):
+    """``cls`` from the flags given on the command line, each named by
+    its field: a flag not given is absent from ``args``, so ``cls``
+    supplies its default.  A bad value is a usage error."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    try:
+        return cls(**{k: v for k, v in vars(args).items() if k in names})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _check_outputs(outputs, inputs=()):
+    """Refuse, before any work, an output (``None``: stdout) whose
+    directory is missing, that is a directory, or that is an input."""
+    for path in filter(None, outputs):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"{path}: no such directory")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{path}: is a directory")
+        if os.path.exists(path) and any(
+                os.path.exists(source) and os.path.samefile(path, source)
+                for source in inputs):
+            raise UsageError(f"{path}: output would overwrite an input")
+
+
 @contextmanager
 def _staged_outputs(*paths):
     """Write all ``paths`` through temp files, renamed in only when
@@ -48,7 +75,10 @@ def _staged_outputs(*paths):
     try:
         for path in paths:
             directory = os.path.dirname(os.path.abspath(path))
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".richclub-")
+            try:
+                fd, tmp = tempfile.mkstemp(dir=directory, prefix=".richclub-")
+            except OSError as exc:
+                raise OSError(f"{path}: {exc.strerror or exc}") from None
             tmps.append(tmp)
             handles.append(os.fdopen(fd, "wt", encoding="utf-8"))
         yield handles if len(handles) > 1 else handles[0]
@@ -61,13 +91,10 @@ def _staged_outputs(*paths):
             os.replace(tmp, path)
     except BaseException:
         for fh in handles:
-            if not fh.closed:
-                fh.close()
+            fh.close()  # a no-op on a closed file
         for tmp in tmps:
-            try:
+            with suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
         raise
 
 
@@ -77,21 +104,22 @@ def _build_parser():
         description="Rich-club sweeps and reports for large graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="write a synthetic graph")
+    # a GeneratorConfig field's flag is left out of args when not given
+    gen = sub.add_parser("generate", help="write a synthetic graph",
+                         argument_default=argparse.SUPPRESS)
     gen.add_argument("--model", required=True,
                      choices=["er", "ba", "affiliation"])
     gen.add_argument("--n", type=int, required=True,
-                     help="node count (target actor count for affiliation)")
+                     help="node count (actor count for affiliation)")
     gen.add_argument("--p", type=float, help="er edge probability")
-    gen.add_argument("--mprime", type=int,
-                     help="ba edges per arriving node")
-    gen.add_argument("--cq", type=int, default=2,
+    gen.add_argument("--mprime", type=int, help="ba edges per arriving node")
+    gen.add_argument("--cq", type=int,
                      help="affiliation edges copied per new actor")
-    gen.add_argument("--cu", type=int, default=2,
+    gen.add_argument("--cu", type=int,
                      help="affiliation edges copied per new society")
-    gen.add_argument("--s", type=int, default=2,
+    gen.add_argument("--s", type=int,
                      help="affiliation preferential-attachment edges")
-    gen.add_argument("--beta", type=float, default=0.5,
+    gen.add_argument("--beta", type=float,
                      help="affiliation actor-side growth probability")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--directed", action="store_true",
@@ -103,9 +131,9 @@ def _build_parser():
     sw.add_argument("-o", "--output")
     sw.add_argument("--directed", action="store_true",
                     help="read the edge list as directed arcs")
-    sw.add_argument("--grid", choices=["root", "linear", "full"],
-                    default="root")
-    sw.add_argument("--points", type=int, default=200)
+    sw.add_argument("--grid", dest="kind", default=argparse.SUPPRESS,
+                    choices=["root", "linear", "full"])
+    sw.add_argument("--points", type=int, default=argparse.SUPPRESS)
 
     ax = sub.add_parser("axioms", help="evaluate club checks, write JSON")
     ax.add_argument("-i", "--input", required=True)
@@ -113,9 +141,9 @@ def _build_parser():
     ax.add_argument("--directed", action="store_true")
     ax.add_argument("--grid", help="ignored: axioms reads every club size")
     ax.add_argument("--points", help="ignored: axioms reads every club size")
-    ax.add_argument("--c1min", type=float, default=0.05)
-    ax.add_argument("--c2min", type=float, default=0.05)
-    ax.add_argument("--c3min", type=float, default=0.01)
+    for i in (1, 2, 3):
+        ax.add_argument(f"--c{i}min", dest=f"c{i}_min", type=float,
+                        default=argparse.SUPPRESS)
 
     rp = sub.add_parser("report", help="emit plot-data files from CSVs")
     rp.add_argument("-i", "--input", required=True, nargs="+")
@@ -125,29 +153,12 @@ def _build_parser():
 
 
 def _cmd_generate(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = secrets.randbits(63)
-    try:
-        if args.directed and args.model != "er":
-            raise ValueError("--directed only applies to --model er")
-        if args.model == "er":
-            if args.p is None:
-                raise ValueError("--p is required for --model er")
-            cfg = GeneratorConfig.er(args.n, args.p, seed,
-                                     directed=args.directed)
-        elif args.model == "ba":
-            if args.mprime is None:
-                raise ValueError("--mprime is required for --model ba")
-            cfg = GeneratorConfig.ba(args.n, args.mprime, seed)
-        else:
-            cfg = GeneratorConfig.affiliation(args.n, seed, cq=args.cq,
-                                              cu=args.cu, s=args.s,
-                                              beta=args.beta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.seed is None:
+        args.seed = secrets.randbits(63)
+    cfg = _build(GeneratorConfig, args)
+    _check_outputs([args.output])  # the .bipartite file sits beside it
     result = generate(cfg)
-    if args.model == "affiliation":
+    if isinstance(result, tuple):  # affiliation: (bipartite, graph)
         bip, g = result
         with _staged_outputs(args.output,
                              args.output + ".bipartite") as (gfh, bfh):
@@ -157,7 +168,7 @@ def _cmd_generate(args) -> int:
         g = result
         with _staged_outputs(args.output) as fh:
             write_edge_list(g, fh)
-    print(f"model={cfg.model} n={g.n} m={g.m} seed={seed} "
+    print(f"model={cfg.model} n={g.n} m={g.m} seed={cfg.seed} "
           f"-> {args.output}")
     return 0
 
@@ -179,10 +190,8 @@ def _echo_sqrt_m_row(rows, m, file):
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        grid = KGrid(kind=args.grid, points=args.points)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    grid = _build(KGrid, args)
+    _check_outputs([args.output], [args.input])
     g = parse_edge_list(args.input, directed=args.directed)
     rows = run_sweep(g, grid)
     m = underlying_undirected(g).m
@@ -196,11 +205,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    try:
-        thresholds = AxiomThresholds(c1_min=args.c1min, c2_min=args.c2min,
-                                     c3_min=args.c3min)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    thresholds = _build(AxiomThresholds, args)
+    _check_outputs([args.output], [args.input])
     g = parse_edge_list(args.input, directed=args.directed)
     # every k, so that the minimal passing club is exact
     rows = run_sweep(g, KGrid("full"))
@@ -225,6 +231,9 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    outputs = [f"{args.output}_{name}.dat"
+               for name in ("c1", "c2", "c3", "sociability")]
+    _check_outputs(outputs, args.input)
     tables = []
     for path in args.input:
         try:
@@ -259,8 +268,7 @@ def _cmd_report(args) -> int:
           / math.log(n) if n > 1 else np.zeros(len(rows)))
 
     profile = sociability_profile(rows)  # may raise: before any write
-    with _staged_outputs(*(f"{args.output}_{name}.dat" for name in
-                           ("c1", "c2", "c3", "sociability"))) as fhs:
+    with _staged_outputs(*outputs) as fhs:
         for metric, fh in zip(("c1", "c2", "c3"), fhs):
             ys = getattr(rows, metric)
             kept = ~np.isnan(ys)  # NaN is a null value

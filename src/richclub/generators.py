@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import array
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO
 
 import numpy as np
@@ -34,12 +34,13 @@ _UNIFORM_BLOCK = 1 << 12
 class GeneratorConfig:
     """Parameters for one generator run.
 
-    ``model`` selects which fields apply: ``er`` uses ``n, p`` (and
-    ``directed``), ``ba`` uses ``n, mprime`` (edges per arriving node,
-    also the seed clique size), ``affiliation`` uses ``actors`` (target
-    actor count), ``cq``/``cu`` (edges copied per new actor/society),
-    ``s`` (preferential-attachment edges per new actor) and ``beta``
-    (probability an evolution step grows the actor side).
+    ``n`` is the node count (for ``affiliation``, the actor count) and
+    ``model`` selects the other fields that apply: ``er`` reads ``p``
+    (and ``directed``), ``ba`` reads ``mprime`` (edges per arriving
+    node, also the seed clique size), ``affiliation`` reads ``cq``/``cu``
+    (edges copied per new actor/society), ``s`` (preferential-attachment
+    edges per new actor) and ``beta`` (probability an evolution step
+    grows the actor side).  Any other field must keep its default.
     """
 
     model: str
@@ -47,7 +48,6 @@ class GeneratorConfig:
     n: int = 0
     p: float = 0.0
     mprime: int = 0
-    actors: int = 0
     cq: int = 2
     cu: int = 2
     s: int = 2
@@ -63,19 +63,23 @@ class GeneratorConfig:
         return cls(model="ba", seed=seed, n=n, mprime=mprime)
 
     @classmethod
-    def affiliation(cls, actors, seed, cq=2, cu=2, s=2, beta=0.5):
-        return cls(model="affiliation", seed=seed, actors=actors,
-                   cq=cq, cu=cu, s=s, beta=beta)
+    def affiliation(cls, n, seed, **params):
+        return cls(model="affiliation", seed=seed, n=n, **params)
 
     def __post_init__(self):
-        for name in ("n", "mprime", "actors", "cq", "cu", "s", "seed"):
+        for name in ("n", "mprime", "cq", "cu", "s", "seed"):
             try:
                 operator.index(getattr(self, name))
             except TypeError:
                 raise ValueError(
                     f"{self.model}: {name} must be an integer") from None
-        size = self.actors if self.model == "affiliation" else self.n
-        if size >= NODE_LIMIT:
+        if self.model not in _MODEL_FIELDS:
+            raise ValueError(f"unknown model {self.model!r}")
+        for f in fields(self):
+            if (f.name not in _MODEL_FIELDS[self.model]
+                    and getattr(self, f.name) != f.default):
+                raise ValueError(f"{self.model}: {f.name} does not apply")
+        if self.n >= NODE_LIMIT:
             raise ValueError(f"{self.model}: n must be below {NODE_LIMIT}")
         if self.seed < 0:
             raise ValueError(f"{self.model}: seed must be >= 0")
@@ -90,19 +94,21 @@ class GeneratorConfig:
                 raise ValueError("ba: mprime must be >= 1")
             if self.n < self.mprime:
                 raise ValueError("ba: n must be >= mprime")
-            if self.directed:
-                raise ValueError("ba: directed mode not supported")
-        elif self.model == "affiliation":
-            if self.actors < 2:
+        else:
+            if self.n < 2:
                 raise ValueError("affiliation: need at least 2 actors")
             if min(self.cq, self.cu, self.s) < 0:
                 raise ValueError("affiliation: cq, cu, s must be >= 0")
             if not 0.0 < self.beta < 1.0:
                 raise ValueError("affiliation: beta must be in (0, 1)")
-            if self.directed:
-                raise ValueError("affiliation: directed mode not supported")
-        else:
-            raise ValueError(f"unknown model {self.model!r}")
+
+
+# the fields each model reads; every other field must keep its default
+_MODEL_FIELDS = {
+    "er": {"model", "seed", "n", "p", "directed"},
+    "ba": {"model", "seed", "n", "mprime"},
+    "affiliation": {"model", "seed", "n", "cq", "cu", "s", "beta"},
+}
 
 
 @dataclass
@@ -387,7 +393,7 @@ def generate_affiliation(cfg: GeneratorConfig):
     joiners = array.array("i", [0])
     others = array.array("i", [1])
 
-    while len(societies) < cfg.actors:
+    while len(societies) < cfg.n:
         if next(coins) < cfg.beta:
             q = len(societies)
             mine: set[int] = set()

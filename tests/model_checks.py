@@ -161,7 +161,7 @@ def reference_affiliation(cfg: GeneratorConfig):
             edge_actor.append(actor)
             edge_society.append(society)
 
-    while len(actor_societies) < cfg.actors:
+    while len(actor_societies) < cfg.n:
         if rng_evo.random() < cfg.beta:
             q = len(actor_societies)
             actor_societies.append([])

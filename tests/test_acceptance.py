@@ -23,7 +23,6 @@ import pytest
 
 from richclub import (
     AxiomThresholds,
-    DEFAULT_THRESHOLDS,
     GeneratorConfig,
     Graph,
     KGrid,
@@ -127,7 +126,7 @@ def test_criterion_03_ba_table_row(ba_million):
 def test_criterion_04_er_table_row(er_million):
     g, rows = er_million
     row = sqrt_m_row(rows, g.m)
-    report = evaluate_axioms(rows, row.k, DEFAULT_THRESHOLDS, m=g.m)
+    report = evaluate_axioms(rows, row.k, AxiomThresholds(), m=g.m)
     ok_c1 = 0.005 <= row.c1 <= 0.02
     ok_c3 = row.c3 < 0.0005
     ok_fail = not report.passes["a1"]

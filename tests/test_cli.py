@@ -1,14 +1,21 @@
+import importlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
-from richclub import parse_edge_list, read_rows_csv
+from richclub import (AxiomThresholds, GeneratorConfig, generate,
+                      parse_edge_list, read_rows_csv, run_sweep,
+                      write_bipartite, write_edge_list, write_rows_csv)
 from richclub.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*args):
@@ -16,17 +23,18 @@ def run_cli(*args):
     return main(list(args))
 
 
-def run_python(*args, cwd=None):
-    """Run a fresh interpreter with the package's ``src`` importable."""
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+def run_python(*args, cwd=None, **environ):
+    """Run a fresh interpreter with the package's ``src`` importable and
+    ``environ`` added to the environment."""
+    env = dict(os.environ, **environ)
+    src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, cwd=cwd)
 
 
-def run_cli_subprocess(*args, cwd=None):
-    return run_python("-m", "richclub", *args, cwd=cwd)
+def run_cli_subprocess(*args, cwd=None, **environ):
+    return run_python("-m", "richclub", *args, cwd=cwd, **environ)
 
 
 # -------------------------------------------------------- generate
@@ -91,8 +99,15 @@ def test_generate_invalid_params_exit_2(tmp_path, capsys):
                    "--mprime", "2", "--directed", "-o", str(out)) == 2
     assert run_cli("generate", "--model", "affiliation", "--n", "10",
                    "--directed", "-o", str(out)) == 2
-    assert not out.exists()
     capsys.readouterr()
+    # a flag the model does not read is refused, not ignored
+    for model, flag, value in (("ba", "p", "0.5"), ("er", "mprime", "3"),
+                               ("er", "cq", "3"), ("affiliation", "p", "0.2")):
+        assert run_cli("generate", "--model", model, "--n", "10",
+                       f"--{flag}", value, "-o", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"richclub: {model}: {flag} does not apply"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_generate_node_limit_exit_2_before_any_work(tmp_path, capsys):
@@ -116,6 +131,134 @@ def test_generate_out_of_memory_exit_1_one_line(tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [
         "richclub: out of memory: Unable to allocate 14.6 TiB for an array"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model, outputs", [
+    # --s 40 makes the attachment draw cap bind
+    (["affiliation", "--n", "2000", "--seed", "5", "--s", "40"],
+     ["g.txt", "g.txt.bipartite"]),
+    (["ba", "--n", "2000", "--mprime", "3", "--seed", "5"], ["g.txt"]),
+    # 995 of this graph's nodes change only because a target they copied
+    # was redrawn
+    (["ba", "--n", "3000", "--mprime", "10", "--seed", "7"], ["g.txt"]),
+    (["er", "--n", "2000", "--p", "0.005", "--directed", "--seed", "5"],
+     ["g.txt"]),
+], ids=["affiliation", "ba", "ba-redraws", "er-directed"])
+def test_generate_independent_of_string_hashing(model, outputs, tmp_path):
+    # two processes with different string hashing give the same files
+    for hash_seed in ("1", "2"):
+        (tmp_path / hash_seed).mkdir()
+        proc = run_cli_subprocess("generate", "--model", *model, "-o",
+                                  "g.txt", cwd=tmp_path / hash_seed,
+                                  PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+    for name in outputs:
+        assert ((tmp_path / "1" / name).read_bytes()
+                == (tmp_path / "2" / name).read_bytes())
+
+
+def test_cli_defaults_are_the_library_defaults(tmp_path, capsys):
+    g_path = tmp_path / "g.txt"
+    assert run_cli("generate", "--model", "affiliation", "--n", "500",
+                   "--seed", "3", "-o", str(g_path)) == 0
+    bip, g = generate(GeneratorConfig.affiliation(500, 3))
+    for path, write, obj in ((g_path, write_edge_list, g),
+                             (tmp_path / "g.txt.bipartite", write_bipartite,
+                              bip)):
+        expected = io.StringIO()
+        write(obj, expected)
+        assert path.read_text() == expected.getvalue()
+    rows = tmp_path / "rows.csv"
+    assert run_cli("sweep", "-i", str(g_path), "-o", str(rows)) == 0
+    expected = io.StringIO()
+    write_rows_csv(run_sweep(parse_edge_list(str(g_path))), expected)
+    assert rows.read_text() == expected.getvalue()
+    capsys.readouterr()
+    assert run_cli("axioms", "-i", str(g_path)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["thresholds"] == AxiomThresholds().to_dict()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the outputs were checked")
+
+
+@pytest.mark.parametrize("args, code, named", [
+    (["generate", "--model", "ba", "--n", "10", "--mprime", "2",
+      "-o", "nodir/g.txt"], 1, "nodir/g.txt"),
+    (["sweep", "-i", "g.txt", "-o", "nodir/rows.csv"], 1, "nodir/rows.csv"),
+    (["axioms", "-i", "g.txt", "-o", "nodir/a.json"], 1, "nodir/a.json"),
+    (["axioms", "-i", "g.txt", "-o", "sub"], 1, "sub"),
+    (["report", "-i", "rows.csv", "-o", "nodir/plot"], 1,
+     "nodir/plot_c1.dat"),
+    (["sweep", "-i", "g.txt", "-o", "g.txt"], 2, "g.txt"),
+    (["axioms", "-i", "g.txt", "-o", "./g.txt"], 2, "./g.txt"),
+    (["report", "-i", "rows.csv", "plot_c3.dat", "-o", "plot"], 2,
+     "plot_c3.dat"),
+])
+def test_outputs_checked_before_any_work(args, code, named, tmp_path,
+                                         monkeypatch, capsys):
+    # a missing output directory or an output that is a directory exits
+    # 1, and an output that is an input exits 2, all before the input is
+    # read or a graph generated
+    monkeypatch.chdir(tmp_path)
+    files = {"g.txt": "0 1\n1 2\n", "rows.csv": "k\n",
+             "plot_c3.dat": "# x y\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "sub").mkdir()
+    for name in ("generate", "parse_edge_list", "read_rows_csv"):
+        monkeypatch.setattr(f"richclub.cli.{name}", _refuse)
+    assert run_cli(*args) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"richclub: {named}: ")
+    # inputs untouched, and no temp file left behind
+    assert {p.name: p.is_file() and p.read_text()
+            for p in tmp_path.iterdir()} == {**files, "sub": False}
+
+
+def test_temp_file_failure_names_the_output(tmp_path, monkeypatch, capsys):
+    def refuse(**kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    g = tmp_path / "g.txt"
+    g.write_text("0 1\n1 2\n")
+    monkeypatch.setattr(tempfile, "mkstemp", refuse)
+    out = tmp_path / "rows.csv"
+    assert run_cli("sweep", "-i", str(g), "-o", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"richclub: {out}: Permission denied"]
+    assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+
+
+def test_benchmark_traced_pipeline(tmp_path, monkeypatch):
+    # perfbench/traced.py wraps names that richclub.cli imports and runs
+    # the real commands; its per-layer metrics need a span of every
+    # layer outside the probe, and the sweep's counters
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    wl = workloads.Workload("traced", {"full": {"model": "affiliation",
+                                                "n": 300}},
+                            sweep_grid="full")
+    spans, counters = [], {}
+    for command, args in wl.commands("full", 1):
+        spec = tmp_path / f"spec-{command}.json"
+        spec.write_text(json.dumps({
+            "command": command, "args": args, "workload": wl.name,
+            "run": "test", "src": str(ROOT / "src"),
+            "out": f"trace-{command}.json"}))
+        proc = run_python(str(ROOT / "perfbench" / "traced.py"), spec.name,
+                          cwd=tmp_path)
+        assert proc.returncode == 0, (command, proc.stderr)
+        trace = json.loads((tmp_path / f"trace-{command}.json").read_text())
+        probes = {s["id"] for s in trace["spans"] if s["name"] == "probe"}
+        spans += [s["name"] for s in trace["spans"]
+                  if s["parent"] not in probes]
+        counters[command] = trace["counters"]
+    for layer in ("generators.", "graph.", "sweep.", "axioms."):
+        assert any(name.startswith(layer) for name in spans), layer
+    assert {"n", "m", "loops_dropped", "duplicates_dropped", "projection_m",
+            "grid_points"} <= set(counters["sweep"])
 
 
 PIPELINE = (

@@ -105,6 +105,12 @@ def test_er_config_validation():
         GeneratorConfig.er(0, 0.5, seed=1)
     with pytest.raises(ValueError, match="er: n must be an integer"):
         GeneratorConfig.er(10.5, 0.3, seed=1)
+    with pytest.raises(ValueError, match="er: p must be in"):
+        GeneratorConfig(model="er", seed=1, n=10)  # p left at its default
+    with pytest.raises(ValueError, match="er: mprime does not apply"):
+        GeneratorConfig(model="er", seed=1, n=10, p=0.5, mprime=3)
+    with pytest.raises(ValueError, match="er: beta does not apply"):
+        GeneratorConfig(model="er", seed=1, n=10, p=0.5, beta=0.7)
 
 
 # ---------------------------------------------------------------- BA
@@ -291,6 +297,15 @@ def test_ba_config_validation():
         GeneratorConfig.ba(10, 2, seed=1.5)
     with pytest.raises(ValueError, match="ba: mprime must be an integer"):
         GeneratorConfig.ba(10, 2.0, seed=1)
+    with pytest.raises(ValueError, match="ba: mprime must be >= 1"):
+        GeneratorConfig(model="ba", seed=1, n=10)  # mprime left at 0
+    with pytest.raises(ValueError, match="ba: directed does not apply"):
+        GeneratorConfig(model="ba", seed=1, n=10, mprime=2, directed=True)
+    with pytest.raises(ValueError, match="ba: cq does not apply"):
+        GeneratorConfig(model="ba", seed=1, n=10, mprime=2, cq=3)
+    # a field given at its default is accepted whatever the model
+    assert GeneratorConfig(model="ba", seed=1, n=10, mprime=2, p=0.0,
+                           cq=2) == GeneratorConfig.ba(10, 2, seed=1)
     # numpy integers are integers
     g = generate_ba(GeneratorConfig.ba(np.int64(10), np.int32(2),
                                        seed=np.uint8(1)))
@@ -412,7 +427,7 @@ def test_affiliation_determinism():
 def assert_matches_reference(cfg):
     bip, g = generate_affiliation(cfg)
     ref_bip, ref_g = reference_affiliation(cfg)
-    assert bip.actor_count == ref_bip.actor_count == cfg.actors
+    assert bip.actor_count == ref_bip.actor_count == cfg.n
     assert bip.society_count == ref_bip.society_count
     assert np.array_equal(bip.edges, ref_bip.edges)
     for a, b in zip(g.edge_arrays(), ref_g.edge_arrays()):
@@ -475,9 +490,14 @@ def test_affiliation_config_validation():
         GeneratorConfig.affiliation(10, seed=1, beta=1.0)
     with pytest.raises(ValueError, match="affiliation: cq must be an integer"):
         GeneratorConfig.affiliation(50, seed=1, cq=1.5)
-    with pytest.raises(ValueError,
-                       match="affiliation: actors must be an integer"):
+    with pytest.raises(ValueError, match="affiliation: n must be an integer"):
         GeneratorConfig.affiliation(50.5, seed=1)
+    # a field that another model reads must keep its default
+    with pytest.raises(ValueError, match="affiliation: p does not apply"):
+        GeneratorConfig.affiliation(50, seed=1, p=0.2)
+    with pytest.raises(ValueError,
+                       match="affiliation: directed does not apply"):
+        GeneratorConfig.affiliation(50, seed=1, directed=True)
 
 
 def test_generate_dispatch():
