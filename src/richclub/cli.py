@@ -81,7 +81,7 @@ def _staged_outputs(*paths):
                 raise OSError(f"{path}: {exc.strerror or exc}") from None
             tmps.append(tmp)
             handles.append(os.fdopen(fd, "wt", encoding="utf-8"))
-        yield handles if len(handles) > 1 else handles[0]
+        yield handles
         for fh in handles:
             fh.close()
         umask = os.umask(0)
@@ -156,18 +156,16 @@ def _cmd_generate(args) -> int:
     if args.seed is None:
         args.seed = secrets.randbits(63)
     cfg = _build(GeneratorConfig, args)
-    _check_outputs([args.output])  # the .bipartite file sits beside it
-    result = generate(cfg)
-    if isinstance(result, tuple):  # affiliation: (bipartite, graph)
-        bip, g = result
-        with _staged_outputs(args.output,
-                             args.output + ".bipartite") as (gfh, bfh):
-            write_edge_list(g, gfh)
-            write_bipartite(bip, bfh)
-    else:
-        g = result
-        with _staged_outputs(args.output) as fh:
-            write_edge_list(g, fh)
+    outputs = [args.output]
+    if cfg.model == "affiliation":  # its bipartite graph sits beside it
+        outputs.append(args.output + ".bipartite")
+    _check_outputs(outputs)
+    result = generate(cfg)  # affiliation: (bipartite, graph)
+    bip, g = result if isinstance(result, tuple) else (None, result)
+    with _staged_outputs(*outputs) as fhs:
+        write_edge_list(g, fhs[0])
+        if bip is not None:
+            write_bipartite(bip, fhs[1])
     print(f"model={cfg.model} n={g.n} m={g.m} seed={cfg.seed} "
           f"-> {args.output}")
     return 0
@@ -197,7 +195,7 @@ def _cmd_sweep(args) -> int:
     m = underlying_undirected(g).m
     _echo_sqrt_m_row(rows, m, sys.stdout if args.output else sys.stderr)
     if args.output:
-        with _staged_outputs(args.output) as fh:
+        with _staged_outputs(args.output) as (fh,):
             write_rows_csv(rows, fh)
     else:
         write_rows_csv(rows, sys.stdout)
@@ -223,7 +221,7 @@ def _cmd_axioms(args) -> int:
     print(minimal.verdict, file=echo)
     payload = report.to_json()
     if args.output:
-        with _staged_outputs(args.output) as fh:
+        with _staged_outputs(args.output) as (fh,):
             fh.write(payload + "\n")
     else:
         print(payload)

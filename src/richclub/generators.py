@@ -40,19 +40,20 @@ class GeneratorConfig:
     node, also the seed clique size), ``affiliation`` reads ``cq``/``cu``
     (edges copied per new actor/society), ``s`` (preferential-attachment
     edges per new actor) and ``beta`` (probability an evolution step
-    grows the actor side).  Any other field must keep its default.
+    grows the actor side).  Any other field must stay None; left None, a
+    field the model reads takes its default from ``_MODELS``.
     """
 
     model: str
     seed: int
     n: int = 0
-    p: float = 0.0
-    mprime: int = 0
-    cq: int = 2
-    cu: int = 2
-    s: int = 2
-    beta: float = 0.5
-    directed: bool = False
+    p: float | None = None
+    mprime: int | None = None
+    cq: int | None = None
+    cu: int | None = None
+    s: int | None = None
+    beta: float | None = None
+    directed: bool | None = None
 
     @classmethod
     def er(cls, n, p, seed, directed=False):
@@ -69,46 +70,38 @@ class GeneratorConfig:
     def __post_init__(self):
         for name in ("n", "mprime", "cq", "cu", "s", "seed"):
             try:
-                operator.index(getattr(self, name))
+                if getattr(self, name) is not None:
+                    operator.index(getattr(self, name))
             except TypeError:
                 raise ValueError(
                     f"{self.model}: {name} must be an integer") from None
-        if self.model not in _MODEL_FIELDS:
+        if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        for f in fields(self):
-            if (f.name not in _MODEL_FIELDS[self.model]
-                    and getattr(self, f.name) != f.default):
+        reads = _MODELS[self.model][1]
+        for f in fields(self):  # the model-specific fields default to None
+            if f.default is None and getattr(self, f.name) is None:
+                object.__setattr__(self, f.name, reads.get(f.name))
+            elif f.default is None and f.name not in reads:
                 raise ValueError(f"{self.model}: {f.name} does not apply")
         if self.n >= NODE_LIMIT:
             raise ValueError(f"{self.model}: n must be below {NODE_LIMIT}")
         if self.seed < 0:
             raise ValueError(f"{self.model}: seed must be >= 0")
-        if self.model == "er":
-            if self.n < 1:
-                raise ValueError("er: n must be >= 1")
-            # p = 1.0 is allowed for degenerate complete graphs
-            if not 0.0 < self.p <= 1.0:
-                raise ValueError("er: p must be in (0, 1]")
-        elif self.model == "ba":
-            if self.mprime < 1:
-                raise ValueError("ba: mprime must be >= 1")
-            if self.n < self.mprime:
-                raise ValueError("ba: n must be >= mprime")
-        else:
-            if self.n < 2:
-                raise ValueError("affiliation: need at least 2 actors")
-            if min(self.cq, self.cu, self.s) < 0:
-                raise ValueError("affiliation: cq, cu, s must be >= 0")
-            if not 0.0 < self.beta < 1.0:
-                raise ValueError("affiliation: beta must be in (0, 1)")
-
-
-# the fields each model reads; every other field must keep its default
-_MODEL_FIELDS = {
-    "er": {"model", "seed", "n", "p", "directed"},
-    "ba": {"model", "seed", "n", "mprime"},
-    "affiliation": {"model", "seed", "n", "cq", "cu", "s", "beta"},
-}
+        if self.model == "er" and self.n < 1:
+            raise ValueError("er: n must be >= 1")
+        # p = 1.0 is allowed for degenerate complete graphs
+        if self.model == "er" and (self.p is None or not 0.0 < self.p <= 1.0):
+            raise ValueError("er: p must be in (0, 1]")
+        if self.model == "ba" and (self.mprime is None or self.mprime < 1):
+            raise ValueError("ba: mprime must be >= 1")
+        if self.model == "ba" and self.n < self.mprime:
+            raise ValueError("ba: n must be >= mprime")
+        if self.model == "affiliation" and self.n < 2:
+            raise ValueError("affiliation: need at least 2 actors")
+        if self.model == "affiliation" and min(self.cq, self.cu, self.s) < 0:
+            raise ValueError("affiliation: cq, cu, s must be >= 0")
+        if self.model == "affiliation" and not 0.0 < self.beta < 1.0:
+            raise ValueError("affiliation: beta must be in (0, 1)")
 
 
 @dataclass
@@ -122,12 +115,8 @@ class BipartiteAffiliation:
 
 
 def generate(cfg: GeneratorConfig):
-    """Dispatch on ``cfg.model``; affiliation returns (bipartite, graph)."""
-    if cfg.model == "er":
-        return generate_er(cfg)
-    if cfg.model == "ba":
-        return generate_ba(cfg)
-    return generate_affiliation(cfg)
+    """Run ``cfg.model``'s generator; affiliation returns (bipartite, graph)."""
+    return _MODELS[cfg.model][0](cfg)
 
 
 def _skip_positions(rng, total, p):
@@ -457,6 +446,15 @@ def generate_affiliation(cfg: GeneratorConfig):
     g = Graph.from_edges(n_actors, np.frombuffer(joiners, np.int32),
                          np.frombuffer(others, np.int32), directed=False)
     return bip, g
+
+
+# model: (generator, {field it reads: default, or None if it must be given})
+_MODELS = {
+    "er": (generate_er, {"p": None, "directed": False}),
+    "ba": (generate_ba, {"mprime": None}),
+    "affiliation": (generate_affiliation,
+                    {"cq": 2, "cu": 2, "s": 2, "beta": 0.5}),
+}
 
 
 def write_bipartite(b: BipartiteAffiliation, out: IO[str] | str) -> None:

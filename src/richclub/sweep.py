@@ -268,14 +268,17 @@ class KGrid:
             raise ValueError(f"unknown grid kind {self.kind!r}")
 
     def k_values(self, n: int, m: int) -> np.ndarray:
-        if self.kind == "full":
-            ks = np.arange(1, n + 1, dtype=np.int64)
-        elif self.kind == "root":
+        # a grid of more points than it can place at distinct club sizes
+        # is every k (root: consecutive samples differ by below 1 there)
+        if self.kind == "root" and self.points <= math.ceil(
+                (n + 1) * math.log(max(n, 1))):
             x = np.arange(self.points + 1) / self.points
             ks = np.rint(float(n) ** x).astype(np.int64)
-        else:
+        elif self.kind == "linear" and self.points < n:
             ks = np.rint(np.linspace(1.0, float(n),
                                      self.points)).astype(np.int64)
+        else:
+            ks = np.arange(1, n + 1, dtype=np.int64)
         extra = [math.isqrt(n)]
         if m >= 1:
             extra.append(math.isqrt(m))

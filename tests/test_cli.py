@@ -100,10 +100,15 @@ def test_generate_invalid_params_exit_2(tmp_path, capsys):
     assert run_cli("generate", "--model", "affiliation", "--n", "10",
                    "--directed", "-o", str(out)) == 2
     capsys.readouterr()
-    # a flag the model does not read is refused, not ignored
+    # a flag the model does not read is refused, not ignored, whatever
+    # its value: another model's default included
     for model, flag, value in (("ba", "p", "0.5"), ("er", "mprime", "3"),
-                               ("er", "cq", "3"), ("affiliation", "p", "0.2")):
-        assert run_cli("generate", "--model", model, "--n", "10",
+                               ("er", "cq", "3"), ("affiliation", "p", "0.2"),
+                               ("er", "cq", "2"), ("ba", "beta", "0.5"),
+                               ("affiliation", "p", "0.0")):
+        given = {"er": ["--p", "0.5"], "ba": ["--mprime", "2"],
+                 "affiliation": []}[model]
+        assert run_cli("generate", "--model", model, "--n", "10", *given,
                        f"--{flag}", value, "-o", str(out)) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"richclub: {model}: {flag} does not apply"]
@@ -215,6 +220,20 @@ def test_outputs_checked_before_any_work(args, code, named, tmp_path,
     # inputs untouched, and no temp file left behind
     assert {p.name: p.is_file() and p.read_text()
             for p in tmp_path.iterdir()} == {**files, "sub": False}
+
+
+def test_generate_bipartite_output_checked_before_any_work(
+        tmp_path, monkeypatch, capsys):
+    # affiliation also writes <output>.bipartite: a directory there exits
+    # 1 naming that path, before the graph is generated
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt.bipartite").mkdir()
+    monkeypatch.setattr("richclub.cli.generate", _refuse)
+    assert run_cli("generate", "--model", "affiliation", "--n", "300",
+                   "--seed", "1", "-o", "g.txt") == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "richclub: g.txt.bipartite: is a directory"]
+    assert [p.name for p in tmp_path.iterdir()] == ["g.txt.bipartite"]
 
 
 def test_temp_file_failure_names_the_output(tmp_path, monkeypatch, capsys):

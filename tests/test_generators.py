@@ -111,6 +111,12 @@ def test_er_config_validation():
         GeneratorConfig(model="er", seed=1, n=10, p=0.5, mprime=3)
     with pytest.raises(ValueError, match="er: beta does not apply"):
         GeneratorConfig(model="er", seed=1, n=10, p=0.5, beta=0.7)
+    # directed is filled from its default; the fields er does not read
+    # stay unset
+    cfg = GeneratorConfig.er(10, 0.5, 1)
+    assert cfg.directed is False
+    assert GeneratorConfig(model="er", seed=1, n=10, p=0.5) == cfg
+    assert (cfg.mprime, cfg.cq, cfg.cu, cfg.s, cfg.beta) == (None,) * 5
 
 
 # ---------------------------------------------------------------- BA
@@ -303,9 +309,14 @@ def test_ba_config_validation():
         GeneratorConfig(model="ba", seed=1, n=10, mprime=2, directed=True)
     with pytest.raises(ValueError, match="ba: cq does not apply"):
         GeneratorConfig(model="ba", seed=1, n=10, mprime=2, cq=3)
-    # a field given at its default is accepted whatever the model
-    assert GeneratorConfig(model="ba", seed=1, n=10, mprime=2, p=0.0,
-                           cq=2) == GeneratorConfig.ba(10, 2, seed=1)
+    # a field the model does not read is refused whatever its value,
+    # another model's default included
+    with pytest.raises(ValueError, match="ba: p does not apply"):
+        GeneratorConfig(model="ba", seed=1, n=10, mprime=2, p=0.0)
+    # the fields ba does not read stay unset
+    cfg = GeneratorConfig.ba(10, 2, seed=1)
+    assert (cfg.p, cfg.cq, cfg.cu, cfg.s, cfg.beta, cfg.directed) == (
+        None,) * 6
     # numpy integers are integers
     g = generate_ba(GeneratorConfig.ba(np.int64(10), np.int32(2),
                                        seed=np.uint8(1)))
@@ -498,6 +509,11 @@ def test_affiliation_config_validation():
     with pytest.raises(ValueError,
                        match="affiliation: directed does not apply"):
         GeneratorConfig.affiliation(50, seed=1, directed=True)
+    # the defaults fill what is not given
+    cfg = GeneratorConfig.affiliation(50, 1)
+    assert (cfg.cq, cfg.cu, cfg.s, cfg.beta) == (2, 2, 2, 0.5)
+    assert (cfg.p, cfg.mprime, cfg.directed) == (None,) * 3
+    assert GeneratorConfig.affiliation(50, 1, cq=3).cu == 2
 
 
 def test_generate_dispatch():

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,48 @@ def test_grid_kinds():
         KGrid(kind="linear", points=2.5)
     assert KGrid(kind="linear", points=np.int64(5)).k_values(
         100, 50).tolist() == lin.tolist()
+
+
+def _unbounded_k_values(kind, points, n, m):
+    """``KGrid.k_values`` of a root or linear grid by its formula alone,
+    whatever the number of points: a points-sized array."""
+    if kind == "root":
+        x = np.arange(points + 1) / points
+        ks = np.rint(float(n) ** x).astype(np.int64)
+    else:
+        ks = np.rint(np.linspace(1.0, float(n), points)).astype(np.int64)
+    extra = [math.isqrt(n)] + ([math.isqrt(m)] if m >= 1 else [])
+    return np.unique(np.clip(np.concatenate([ks, extra]), 1, n)).tolist()
+
+
+def test_grid_past_every_k_gives_the_formula_rows():
+    # from n linear points, or ceil((n + 1) ln n) + 1 root points, the
+    # formula places every club size; the grid then takes every k without
+    # a points-sized array, and the rows stay the formula's
+    for n in [*range(1, 151), 400, 1000, 4096]:
+        m = n * (n - 1) // 4
+        root = math.ceil((n + 1) * math.log(n)) + 1
+        for kind, bound in (("linear", n), ("root", root)):
+            assert (_unbounded_k_values(kind, bound, n, m)
+                    == list(range(1, n + 1))), (kind, n)
+            for points in {1, max(bound - 2, 1), max(bound - 1, 1), bound,
+                           bound + 1, 2 * bound}:
+                assert (KGrid(kind, points).k_values(n, m).tolist()
+                        == _unbounded_k_values(kind, points, n, m)), (
+                            kind, n, points)
+
+
+@pytest.mark.parametrize("kind", ["linear", "root"])
+def test_grid_memory_is_bounded_by_the_graph(kind):
+    # 10**7 points as a float array are 80 MB; a 5-node graph has 5 sizes
+    tracemalloc.start()
+    try:
+        ks = KGrid(kind, 10 ** 7).k_values(5, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ks.tolist() == [1, 2, 3, 4, 5]
+    assert peak < 1 << 20
 
 
 def test_sweep_table_columns_round_trip_through_rows(rng):
