@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -81,16 +81,11 @@ class AxiomReport:
     verdict: str = ""
 
     def to_dict(self):
-        return {
-            "k": self.k,
-            "sqrt_m": self.sqrt_m,
-            "constants": self.constants,
-            "thresholds": self.thresholds.to_dict(),
-            "passes": self.passes,
-            "minimal_k": self.minimal_k,
-            "minimal_k_over_sqrt_m": self.minimal_k_over_sqrt_m,
-            "theorem_checks": self.theorem_checks,
-        }
+        """Every field but ``verdict``, in field order."""
+        out = asdict(self)
+        del out["verdict"]
+        out["thresholds"] = self.thresholds.to_dict()
+        return out
 
     def to_json(self, indent=2):
         return json.dumps(self.to_dict(), indent=indent)

@@ -102,6 +102,12 @@ class GeneratorConfig:
             raise ValueError("affiliation: cq, cu, s must be >= 0")
         if self.model == "affiliation" and not 0.0 < self.beta < 1.0:
             raise ValueError("affiliation: beta must be in (0, 1)")
+        # about n(1 - beta)/beta societies grow besides n actors; their
+        # ids are int32, like node ids
+        if (self.model == "affiliation"
+                and self.n * (1 - self.beta) / self.beta >= NODE_LIMIT):
+            raise ValueError(f"affiliation: beta too small: n(1-beta)/beta "
+                             f"societies must stay below {NODE_LIMIT}")
 
 
 @dataclass

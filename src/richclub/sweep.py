@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import IO, NamedTuple, Sequence
 
@@ -51,17 +51,10 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = [
-    "k", "degree_at_k", "sum_di", "sum_do", "internal_edges",
-    "c1", "c2", "c3", "sociability_raw", "components", "lcc_size",
-    "coverage", "internal_arcs", "reciprocal_arcs", "sym_ratio",
-]
-
 _INT_COLUMNS = {"k", "degree_at_k", "sum_di", "sum_do", "internal_edges",
                 "components", "lcc_size", "internal_arcs",
                 "reciprocal_arcs"}
 _ARC_COLUMNS = ("internal_arcs", "reciprocal_arcs", "sym_ratio")
-_ARC_AT = CSV_COLUMNS.index("internal_arcs")
 _NULLABLE = {"c2", "coverage", "sym_ratio"}  # empty in some rows
 _CSV_CHUNK = 1 << 14  # rows formatted or parsed at once
 
@@ -114,6 +107,10 @@ class SweepRow:
     internal_arcs: int | None = None
     reciprocal_arcs: int | None = None
     sym_ratio: float | None = None
+
+
+CSV_COLUMNS = [f.name for f in fields(SweepRow)]
+_ARC_AT = CSV_COLUMNS.index("internal_arcs")
 
 
 @dataclass(frozen=True, eq=False)
@@ -548,13 +545,13 @@ def read_rows_csv(src) -> SweepTable:
     directed = good > 0 and rows[0].split(",")[_ARC_AT] != ""
     chunks = []
     for lo in range(0, good, _CSV_CHUNK):
-        fields = ",".join(rows[lo:min(lo + _CSV_CHUNK, good)]).split(",")
-        chunk = [_read_column(name, fields[j::width], directed)
+        cells = ",".join(rows[lo:min(lo + _CSV_CHUNK, good)]).split(",")
+        chunk = [_read_column(name, cells[j::width], directed)
                  for j, name in enumerate(CSV_COLUMNS)]
         bad, j = min((b, j) for j, (_, b) in enumerate(chunk))
-        if bad < len(fields) // width:
+        if bad < len(cells) // width:
             raise ValueError(f"line {lineno[lo + bad]}: bad {CSV_COLUMNS[j]} "
-                             f"value {fields[bad * width + j]!r}")
+                             f"value {cells[bad * width + j]!r}")
         chunks.append([values for values, _ in chunk])
     if good < len(rows):
         raise ValueError(f"line {lineno[good]}: expected {width} fields, "

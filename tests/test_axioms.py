@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from richclub import (
+    CSV_COLUMNS,
     AxiomThresholds,
     GeneratorConfig,
     Graph,
@@ -17,6 +18,7 @@ from richclub import (
     internal_edges_by_k,
     metrics_at_k,
     minimal_elite,
+    read_rows_csv,
     run_sweep,
     underlying_undirected,
 )
@@ -124,6 +126,12 @@ def test_minimal_elite_none_for_edgeless_graph():
     assert rep.minimal_k is None
     assert rep.minimal_k_over_sqrt_m is None
     assert rep.verdict.startswith("none")
+
+
+def test_minimal_elite_of_an_empty_table_is_an_error():
+    rows = read_rows_csv([",".join(CSV_COLUMNS)])
+    with pytest.raises(ValueError, match="no sweep rows"):
+        minimal_elite(rows, m=0)
 
 
 def _passes_oracle(row, thr):

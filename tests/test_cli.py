@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from richclub import (AxiomThresholds, GeneratorConfig, generate,
-                      parse_edge_list, read_rows_csv, run_sweep,
+from richclub import (CSV_COLUMNS, AxiomThresholds, GeneratorConfig,
+                      generate, parse_edge_list, read_rows_csv, run_sweep,
                       write_bipartite, write_edge_list, write_rows_csv)
 from richclub.cli import main
+from richclub.sweep import _write_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,6 +100,9 @@ def test_generate_invalid_params_exit_2(tmp_path, capsys):
                    "--mprime", "2", "--directed", "-o", str(out)) == 2
     assert run_cli("generate", "--model", "affiliation", "--n", "10",
                    "--directed", "-o", str(out)) == 2
+    for flag in ("--cq", "--cu", "--s"):
+        assert run_cli("generate", "--model", "affiliation", "--n", "10",
+                       flag, "-1", "-o", str(out)) == 2
     capsys.readouterr()
     # a flag the model does not read is refused, not ignored, whatever
     # its value: another model's default included
@@ -122,6 +126,16 @@ def test_generate_node_limit_exit_2_before_any_work(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "n must be below 2147483648" in err
     assert not out.exists()
+
+
+def test_generate_tiny_beta_exit_2_before_any_work(tmp_path, capsys):
+    # about n/beta societies would grow, in memory without bound
+    out = tmp_path / "g.txt"
+    assert run_cli("generate", "--model", "affiliation", "--n", "10",
+                   "--beta", "1e-300", "--seed", "1", "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "affiliation: beta too small" in err
+    assert not list(tmp_path.iterdir())  # nor g.txt.bipartite
 
 
 def test_generate_out_of_memory_exit_1_one_line(tmp_path, capsys,
@@ -248,6 +262,30 @@ def test_temp_file_failure_names_the_output(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"richclub: {out}: Permission denied"]
     assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+
+
+DISK_FULL = "richclub: [Errno 28] No space left on device"
+
+
+@pytest.mark.parametrize("before", [None, "old rows\n"])
+def test_failed_write_removes_its_temp_file(before, tmp_path, monkeypatch,
+                                            capsys):
+    # an output that existed before keeps its bytes
+    def write_some(rows, fh):
+        fh.write("k,degree_at_k\n")
+        fh.flush()
+        raise OSError(28, "No space left on device")
+
+    files = {"g.txt": "0 1\n1 2\n"}
+    if before is not None:
+        files["out.csv"] = before
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("richclub.cli.write_rows_csv", write_some)
+    assert run_cli("sweep", "-i", "g.txt", "-o", "out.csv") == 1
+    assert capsys.readouterr().err.splitlines() == [DISK_FULL]
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == files
 
 
 def test_benchmark_traced_pipeline(tmp_path, monkeypatch):
@@ -575,6 +613,38 @@ def test_report_failure_leaves_no_plot_file(tmp_path, capsys):
                    "-o", str(tmp_path / "plots")) == 1
     assert "degenerate sociability profile" in capsys.readouterr().err
     assert not list(tmp_path.glob("plots_*.dat"))
+
+
+def test_report_failed_write_leaves_no_plot_file(tmp_path, monkeypatch,
+                                                 capsys):
+    # the third of the four files fails: the two written are removed too
+    writes = []
+
+    def third_fails(fh, row, cols):
+        writes.append(fh)
+        if len(writes) == 3:
+            raise OSError(28, "No space left on device")
+        _write_rows(fh, row, cols)
+
+    csv = make_sweep_csv(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    monkeypatch.setattr("richclub.cli._write_rows", third_fails)
+    assert run_cli("report", "-i", str(csv),
+                   "-o", str(tmp_path / "plots")) == 1
+    assert capsys.readouterr().err.splitlines() == [DISK_FULL]
+    assert len(writes) == 3
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_report_rejects_a_csv_without_rows(tmp_path, capsys):
+    csv = tmp_path / "rows.csv"
+    csv.write_text(",".join(CSV_COLUMNS) + "\n")
+    assert run_cli("report", "-i", str(csv),
+                   "-o", str(tmp_path / "plots")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"richclub: {csv}: no data rows"]
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -188,6 +188,7 @@ ARCS2 = "2,2,2,3,1,0.5,0.666667,2,0.5,1,2,0.5,2,2,1"
 @settings(max_examples=500, deadline=None, database=None)
 @given(damaged_tables())
 @example([HEADER, ROW1, "2,2,2,3,1,nan,0.666667,2,0.5,1,2,0.5,,,"])
+@example([HEADER.replace("c2", "c02"), ROW1])  # wrong header
 @example([HEADER, ROW1, "9223372036854775808,2,2,3,1,0.5,,2,0.5,1,2,0.5,,,"])
 @example([HEADER, "1,3,0,3,0,0.5,,0,x,1,1,0.6,,,", "2,2"])  # value error
 @example([HEADER, "1,3,0,3,0,,,x,0,1,1,0.6,,,"])      # first bad field

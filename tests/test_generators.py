@@ -509,6 +509,13 @@ def test_affiliation_config_validation():
     with pytest.raises(ValueError,
                        match="affiliation: directed does not apply"):
         GeneratorConfig.affiliation(50, seed=1, directed=True)
+    # about n(1-beta)/beta societies grow, each with an int32 id
+    with pytest.raises(ValueError, match="affiliation: beta too small"):
+        GeneratorConfig.affiliation(10, seed=1, beta=1e-300)
+    with pytest.raises(ValueError, match="affiliation: beta too small"):
+        GeneratorConfig.affiliation(715_827_883, seed=1, beta=0.25)
+    assert GeneratorConfig.affiliation(715_827_882, 1, beta=0.25).n
+    assert GeneratorConfig.affiliation(2000, 1, beta=0.02).beta == 0.02
     # the defaults fill what is not given
     cfg = GeneratorConfig.affiliation(50, 1)
     assert (cfg.cq, cfg.cu, cfg.s, cfg.beta) == (2, 2, 2, 0.5)

@@ -314,6 +314,18 @@ def test_from_edges_rejects_non_integer_endpoints():
         (0, 2)}
 
 
+@pytest.mark.parametrize("n, src, dst, message", [
+    (0, [], [], "at least one node"),
+    (2 ** 31, [0], [1], "node count exceeds"),
+    (3, [0, 1], [2], "length mismatch"),
+    (3, [0, 1], [1, 3], "out of range"),
+    (3, [-1], [1], "out of range"),
+])
+def test_from_edges_rejects_bad_arguments(n, src, dst, message):
+    with pytest.raises(ValueError, match=message):
+        Graph.from_edges(n, src, dst)
+
+
 def test_graph_is_immutable():
     g = parse_edge_list(["0 1", "1 2"])
     for arr in g.edge_arrays():

@@ -327,6 +327,8 @@ def test_sociability_degenerate_profile_errors():
     rows = run_sweep(g, KGrid(kind="full"))
     with pytest.raises(ValueError, match="degenerate"):
         sociability_profile(rows)
+    with pytest.raises(ValueError, match="no sweep rows"):
+        sociability_profile(read_rows_csv([",".join(CSV_COLUMNS)]))
 
 
 def test_ba_sociability_flat_after_5_percent():
@@ -461,6 +463,17 @@ def test_csv_round_trip(rng):
             assert (a.c2 is None) == (b.c2 is None)
             if a.c2 is not None:
                 assert b.c2 == pytest.approx(a.c2, rel=1e-5)
+
+
+def test_csv_writer_accepts_paths(tmp_path):
+    rows = run_sweep(star(3), KGrid(kind="full"))
+    buf = io.StringIO()
+    write_rows_csv(rows, buf)
+    write_rows_csv(rows, str(tmp_path / "a.csv"))
+    write_rows_csv(rows, tmp_path / "b.csv")
+    assert ((tmp_path / "a.csv").read_text(encoding="utf-8")
+            == (tmp_path / "b.csv").read_text(encoding="utf-8")
+            == buf.getvalue())
 
 
 def test_csv_nulls_are_empty_fields():
